@@ -258,7 +258,64 @@ pub fn update_wts_and_stats_into(
 /// The tile loop shared by [`update_wts_into`] and
 /// [`update_wts_and_stats_into`]; `sink` observes each tile after its
 /// weights are final.
+///
+/// Runs [`update_wts_body`] compiled for AVX2 when the CPU has it (checked
+/// once per call), and the baseline-ISA copy otherwise. The two copies are
+/// the same source with the same per-element operation sequence, and AVX2
+/// brings no fused multiply-add (the compiler never contracts `a * b + c`
+/// on its own), so the choice moves no result bit — only how many items
+/// share one instruction.
 fn update_wts_tiled<S: TileSink>(
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &[ClassParams],
+    wts: &mut WtsMatrix,
+    scratch: &mut EStepScratch,
+    sink: &mut S,
+) -> EStepScalars {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `update_wts_avx2` only requires AVX2, which the CPU was
+        // just checked to support.
+        return unsafe { update_wts_avx2(model, view, classes, wts, scratch, sink) };
+    }
+    update_wts_baseline(model, view, classes, wts, scratch, sink)
+}
+
+/// [`update_wts_body`] compiled for AVX2 (4 × f64 lanes). Only the
+/// dispatch in [`update_wts_tiled`] calls it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn update_wts_avx2<S: TileSink>(
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &[ClassParams],
+    wts: &mut WtsMatrix,
+    scratch: &mut EStepScratch,
+    sink: &mut S,
+) -> EStepScalars {
+    update_wts_body(model, view, classes, wts, scratch, sink)
+}
+
+/// [`update_wts_body`] compiled for the build's baseline ISA: the path on
+/// CPUs without AVX2 and on other architectures, and the reference the
+/// dispatch-equivalence test holds the AVX2 copy to.
+fn update_wts_baseline<S: TileSink>(
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &[ClassParams],
+    wts: &mut WtsMatrix,
+    scratch: &mut EStepScratch,
+    sink: &mut S,
+) -> EStepScalars {
+    update_wts_body(model, view, classes, wts, scratch, sink)
+}
+
+/// The E-step itself. `#[inline(always)]`, like [`fast_exp`] and the term
+/// kernels it calls, so each wrapper above gets a whole copy compiled for
+/// its own instruction set.
+#[inline(always)]
+fn update_wts_body<S: TileSink>(
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
@@ -530,7 +587,7 @@ pub fn estep_ops(n: usize, j: usize, k: usize) -> u64 {
 ///   beyond it the shifted exponent would wrap into garbage bits. The
 ///   log-sum-exp caller only ever passes `r − max ≤ 0`, but the guard
 ///   makes the helper total over `f64`.
-#[inline]
+#[inline(always)]
 fn fast_exp(x: f64) -> f64 {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
     // fdlibm's split of ln 2, quoted at its published precision (the
@@ -888,6 +945,254 @@ mod tests {
     fn fast_exp_at_one_matches_e() {
         let rel = (fast_exp(1.0) - std::f64::consts::E).abs() / std::f64::consts::E;
         assert!(rel < 1e-15, "fast_exp(1)={:e} rel {rel:e}", fast_exp(1.0));
+    }
+
+    /// A random mixed-schema case for the dispatch and M-step properties:
+    /// a Normal real with NaN-missing values, a LogNormal real, a discrete
+    /// attribute without and one with a modelled missing level, and a
+    /// two-attribute MultiNormal block; about a tenth of all values
+    /// missing. The dataset has `off + n + 8` rows so the global
+    /// statistics stay finite even for `n = 0`; the kernels run on the
+    /// offset view `[off, off + n)`.
+    fn mixed_case(n: usize, off: usize, seed: u64) -> (Dataset, Model) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let schema = Schema::new(vec![
+            Attribute::real("a", 0.01),
+            Attribute::positive_real("b", 0.01),
+            Attribute::discrete("c", 3),
+            Attribute::discrete("d", 4),
+            Attribute::real("e", 0.01),
+            Attribute::real("f", 0.01),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..off + n + 8)
+            .map(|_| {
+                let side = if rng.gen_bool(0.5) { -3.0 } else { 3.0 };
+                let mut row = vec![
+                    Value::Real(side + rng.gen_range(-1.0..1.0)),
+                    Value::Real(rng.gen_range(0.1..20.0)),
+                    Value::Discrete(rng.gen_range(0..3)),
+                    Value::Discrete(rng.gen_range(0..4)),
+                    Value::Real(side * 0.5 + rng.gen_range(-1.0..1.0)),
+                    Value::Real(rng.gen_range(-2.0..2.0)),
+                ];
+                for v in &mut row {
+                    if rng.gen_bool(0.1) {
+                        *v = Value::Missing;
+                    }
+                }
+                row
+            })
+            .collect();
+        let data = Dataset::from_rows(schema.clone(), &rows);
+        let stats = GlobalStats::compute(&data.full_view());
+        let model = Model::with_correlated(schema, &stats, &[vec![4, 5]]).with_missing_levels(&[3]);
+        (data, model)
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
+    /// Today's per-class statistics loop, kept verbatim as the reference
+    /// the paired fold in [`SuffStats::accumulate`] must reproduce bit for
+    /// bit.
+    fn per_class_accumulate(
+        st: &mut crate::model::suffstats::SuffStats,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+    ) -> u64 {
+        use crate::model::prior::TermPrior;
+        let n = view.len();
+        let mut ops: u64 = 0;
+        for c in 0..st.layout.j {
+            let w = wts.class_column(c);
+            let wsum: f64 = w.iter().sum();
+            st.data[st.layout.weight_index(c)] += wsum;
+            ops += n as u64;
+            for (k, group) in model.groups.iter().enumerate() {
+                let range = st.layout.attr_range(c, k);
+                let block = &mut st.data[range];
+                match &group.prior {
+                    TermPrior::Normal { .. } => {
+                        let xs = view.real_column(group.attrs[0]);
+                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
+                        for (&x, &wi) in xs.iter().zip(w) {
+                            if !x.is_nan() {
+                                s0 += wi;
+                                s1 += wi * x;
+                                s2 += wi * x * x;
+                            }
+                        }
+                        block[0] += s0;
+                        block[1] += s1;
+                        block[2] += s2;
+                        ops += n as u64;
+                    }
+                    TermPrior::LogNormal { .. } => {
+                        let xs = view.real_column(group.attrs[0]);
+                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
+                        for (&x, &wi) in xs.iter().zip(w) {
+                            if !x.is_nan() {
+                                let lx = x.ln();
+                                s0 += wi;
+                                s1 += wi * lx;
+                                s2 += wi * lx * lx;
+                            }
+                        }
+                        block[0] += s0;
+                        block[1] += s1;
+                        block[2] += s2;
+                        ops += n as u64;
+                    }
+                    TermPrior::Multinomial { missing_level, .. } => {
+                        let ls = view.discrete_column(group.attrs[0]);
+                        let missing_slot = block.len() - 1;
+                        for (&l, &wi) in ls.iter().zip(w) {
+                            if l != crate::data::dataset::MISSING_DISCRETE {
+                                block[l as usize] += wi;
+                            } else if *missing_level {
+                                block[missing_slot] += wi;
+                            }
+                        }
+                        ops += n as u64;
+                    }
+                    TermPrior::MultiNormal { dim, .. } => {
+                        let d = *dim;
+                        'items: for (i, &wi) in w.iter().enumerate() {
+                            for &attr in &group.attrs {
+                                if view.real_column(attr)[i].is_nan() {
+                                    continue 'items;
+                                }
+                            }
+                            block[0] += wi;
+                            for a in 0..d {
+                                let xa = view.real_column(group.attrs[a])[i];
+                                block[1 + a] += wi * xa;
+                                for b in 0..=a {
+                                    let xb = view.real_column(group.attrs[b])[i];
+                                    block[1 + d + crate::model::prior::tri_index(a, b)] +=
+                                        wi * xa * xb;
+                                }
+                            }
+                        }
+                        ops += (n * d) as u64;
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The dispatched E-step (the AVX2 copy on a CPU that has it) and
+        /// the baseline-ISA copy agree bit for bit: weights, both scalars,
+        /// the class weight sums, and — through the fused entry — the
+        /// sufficient statistics and their op count.
+        #[test]
+        fn dispatch_matches_baseline_bitwise(
+            n in 0usize..3 * ESTEP_TILE + 38,
+            off in 0usize..5,
+            j in 1usize..18,
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::model::suffstats::{StatLayout, SuffStats};
+            let (data, model) = mixed_case(n, off, seed);
+            let view = data.view(off, off + n);
+            let classes = crate::model::init::init_classes(&model, &view, j, seed ^ 0x5eed);
+
+            let mut wts_d = WtsMatrix::default();
+            let mut scratch_d = EStepScratch::default();
+            let mut stats_d = SuffStats::zeros(StatLayout::new(&model, j));
+            let mut carry_d = Vec::new();
+            let (e_d, ops_d) = update_wts_and_stats_into(
+                &model, &view, &classes, &mut wts_d, &mut scratch_d, &mut stats_d, &mut carry_d,
+            );
+
+            let mut wts_b = WtsMatrix::default();
+            let mut scratch_b = EStepScratch::default();
+            let mut stats_b = SuffStats::zeros(StatLayout::new(&model, j));
+            let mut carry_b = vec![0.0; stats_b.carry_len(&model)];
+            let mut sink = StatsSink {
+                model: &model,
+                view: &view,
+                stats: &mut stats_b,
+                carry: &mut carry_b,
+                ops: 0,
+            };
+            let e_b =
+                update_wts_baseline(&model, &view, &classes, &mut wts_b, &mut scratch_b, &mut sink);
+            let ops_b = sink.ops;
+            stats_b.finish_tiles(&model, &carry_b);
+
+            assert_eq!(e_d.log_likelihood.to_bits(), e_b.log_likelihood.to_bits());
+            assert_eq!(e_d.complete_ll.to_bits(), e_b.complete_ll.to_bits());
+            assert_eq!((e_d.ops, ops_d), (e_b.ops, ops_b));
+            assert_bits_eq(&scratch_d.class_weight_sums, &scratch_b.class_weight_sums, "w_j");
+            assert_bits_eq(&wts_d.data, &wts_b.data, "weights");
+            assert_bits_eq(&stats_d.data, &stats_b.data, "fused stats");
+
+            // The plain entry dispatches the same way.
+            let mut wts_p = WtsMatrix::default();
+            let mut scratch_p = EStepScratch::default();
+            let e_p = update_wts_into(&model, &view, &classes, &mut wts_p, &mut scratch_p);
+            let e_pb = update_wts_baseline(
+                &model, &view, &classes, &mut wts_b, &mut scratch_b, &mut NoSink,
+            );
+            assert_eq!(e_p.log_likelihood.to_bits(), e_pb.log_likelihood.to_bits());
+            assert_eq!(e_p.complete_ll.to_bits(), e_pb.complete_ll.to_bits());
+            assert_bits_eq(&wts_p.data, &wts_b.data, "plain weights");
+        }
+
+        /// The paired M-step fold — whole-partition and tiled at random
+        /// cut points — reproduces the per-class reference loop bit for
+        /// bit, including its op count, at every J (odd J leaves a single
+        /// class after the pairs).
+        #[test]
+        fn paired_mstep_matches_per_class_loop(
+            n in 0usize..3 * ESTEP_TILE + 38,
+            off in 0usize..5,
+            j in 1usize..18,
+            cuts in proptest::collection::vec(0usize..3 * ESTEP_TILE + 38, 0..4),
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::model::suffstats::{StatLayout, SuffStats};
+            let (data, model) = mixed_case(n, off, seed);
+            let view = data.view(off, off + n);
+            let classes = crate::model::init::init_classes(&model, &view, j, seed ^ 0x5eed);
+            let mut wts = WtsMatrix::default();
+            update_wts_into(&model, &view, &classes, &mut wts, &mut EStepScratch::default());
+
+            let mut reference = SuffStats::zeros(StatLayout::new(&model, j));
+            let ops_ref = per_class_accumulate(&mut reference, &model, &view, &wts);
+
+            let mut paired = SuffStats::zeros(StatLayout::new(&model, j));
+            let ops = paired.accumulate(&model, &view, &wts);
+            assert_eq!(ops, ops_ref);
+            assert_bits_eq(&paired.data, &reference.data, "accumulate");
+
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let mut tiled = SuffStats::zeros(StatLayout::new(&model, j));
+            let mut carry = vec![0.0; tiled.carry_len(&model)];
+            let mut ops_tiled = 0;
+            for pair in bounds.windows(2) {
+                ops_tiled += tiled.accumulate_tile(&model, &view, &wts, pair[0], pair[1], &mut carry);
+            }
+            tiled.finish_tiles(&model, &carry);
+            assert_eq!(ops_tiled, ops_ref);
+            assert_bits_eq(&tiled.data, &reference.data, "accumulate_tile");
+        }
     }
 
     /// `reset` keeps capacity: shrinking and re-growing within the

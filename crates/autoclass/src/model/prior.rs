@@ -673,26 +673,33 @@ impl TermParams {
 
     /// Add this term's log densities for a whole column into `out`
     /// (the hot kernel of `update_wts`; one call per class × attribute).
+    ///
+    /// Missing values are skipped with an unconditional store of a select,
+    /// not a conditional `+=`: a store under a branch keeps the loop
+    /// scalar, while the select form vectorizes. A NaN `x` computes a NaN
+    /// candidate that the select discards, so every element's bits are
+    /// those of the branchy form. `#[inline(always)]` so the kernel is
+    /// compiled into each ISA-specific copy of the E-step body.
+    #[inline(always)]
     pub fn accumulate_log_prob_real(&self, xs: &[f64], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());
-        match self {
+        // Parameters bound by value: read through `self` inside the loop
+        // they would be reloaded per element, as if `out` could alias them,
+        // which also blocks vectorization.
+        match *self {
             TermParams::Normal { mean, sigma, log_norm } => {
                 let inv = 1.0 / sigma;
-                for (x, o) in xs.iter().zip(out.iter_mut()) {
-                    if !x.is_nan() {
-                        let z = (x - mean) * inv;
-                        *o += log_norm - 0.5 * z * z;
-                    }
+                for (&x, o) in xs.iter().zip(out.iter_mut()) {
+                    let z = (x - mean) * inv;
+                    *o = if x.is_nan() { *o } else { *o + (log_norm - 0.5 * z * z) };
                 }
             }
             TermParams::LogNormal { mean, sigma, log_norm } => {
                 let inv = 1.0 / sigma;
-                for (x, o) in xs.iter().zip(out.iter_mut()) {
-                    if !x.is_nan() {
-                        let lx = x.ln();
-                        let z = (lx - mean) * inv;
-                        *o += log_norm - 0.5 * z * z - lx;
-                    }
+                for (&x, o) in xs.iter().zip(out.iter_mut()) {
+                    let lx = x.ln();
+                    let z = (lx - mean) * inv;
+                    *o = if x.is_nan() { *o } else { *o + (log_norm - 0.5 * z * z - lx) };
                 }
             }
             _ => panic!("real column for a non-scalar-real term"),
@@ -717,6 +724,7 @@ impl TermParams {
     }
 
     /// Batched form of [`TermParams::log_prob_discrete_with_missing`].
+    #[inline(always)]
     pub fn accumulate_log_prob_discrete_with_missing(&self, ls: &[u32], out: &mut [f64]) {
         debug_assert_eq!(ls.len(), out.len());
         match self {
@@ -736,6 +744,7 @@ impl TermParams {
     }
 
     /// Add this term's log probabilities for a discrete column into `out`.
+    #[inline(always)]
     pub fn accumulate_log_prob_discrete(&self, ls: &[u32], out: &mut [f64]) {
         debug_assert_eq!(ls.len(), out.len());
         match self {

@@ -113,91 +113,7 @@ impl SuffStats {
         let n = view.len();
         assert_eq!(wts.n_items(), n, "weights/partition size mismatch");
         assert_eq!(wts.n_classes(), self.layout.j, "weights/layout class count mismatch");
-        let mut ops: u64 = 0;
-        for c in 0..self.layout.j {
-            let w = wts.class_column(c);
-            // Class weight w_c over this partition.
-            let wsum: f64 = w.iter().sum();
-            self.data[self.layout.weight_index(c)] += wsum;
-            ops += n as u64;
-            for (k, group) in model.groups.iter().enumerate() {
-                let range = self.layout.attr_range(c, k);
-                let block = &mut self.data[range];
-                match &group.prior {
-                    TermPrior::Normal { .. } => {
-                        let xs = view.real_column(group.attrs[0]);
-                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                s0 += wi;
-                                s1 += wi * x;
-                                s2 += wi * x * x;
-                            }
-                        }
-                        block[0] += s0;
-                        block[1] += s1;
-                        block[2] += s2;
-                        ops += n as u64;
-                    }
-                    TermPrior::LogNormal { .. } => {
-                        let xs = view.real_column(group.attrs[0]);
-                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                let lx = x.ln();
-                                s0 += wi;
-                                s1 += wi * lx;
-                                s2 += wi * lx * lx;
-                            }
-                        }
-                        block[0] += s0;
-                        block[1] += s1;
-                        block[2] += s2;
-                        ops += n as u64;
-                    }
-                    TermPrior::Multinomial { missing_level, .. } => {
-                        let ls = view.discrete_column(group.attrs[0]);
-                        let missing_slot = block.len() - 1;
-                        for (&l, &wi) in ls.iter().zip(w) {
-                            if l != crate::data::dataset::MISSING_DISCRETE {
-                                block[l as usize] += wi;
-                            } else if *missing_level {
-                                block[missing_slot] += wi;
-                            }
-                        }
-                        ops += n as u64;
-                    }
-                    TermPrior::MultiNormal { dim, .. } => {
-                        // Joint block: skip items missing *any* block
-                        // value. Allocation-free: the columns are indexed
-                        // through the view directly (d is small, the
-                        // repeated column lookups are trivial next to the
-                        // d² products), in the same item order and with the
-                        // same products as before — bitwise identical.
-                        let d = *dim;
-                        'items: for (i, &wi) in w.iter().enumerate() {
-                            for &attr in &group.attrs {
-                                if view.real_column(attr)[i].is_nan() {
-                                    continue 'items;
-                                }
-                            }
-                            block[0] += wi;
-                            for a in 0..d {
-                                let xa = view.real_column(group.attrs[a])[i];
-                                block[1 + a] += wi * xa;
-                                for b in 0..=a {
-                                    let xb = view.real_column(group.attrs[b])[i];
-                                    block[1 + d + crate::model::prior::tri_index(a, b)] +=
-                                        wi * xa * xb;
-                                }
-                            }
-                        }
-                        ops += (n * d) as u64;
-                    }
-                }
-            }
-        }
-        ops
+        self.fold(model, view, wts, 0, n, None)
     }
 
     /// Length of the carry buffer threaded through
@@ -233,78 +149,133 @@ impl SuffStats {
         assert_eq!(wts.n_items(), n, "weights/partition size mismatch");
         assert_eq!(wts.n_classes(), self.layout.j, "weights/layout class count mismatch");
         assert!(lo <= hi && hi <= n, "tile [{lo}, {hi}) out of range for {n} items");
-        let cstride = carry_stride(model);
-        assert_eq!(carry.len(), self.layout.j * cstride, "carry buffer length mismatch");
+        assert_eq!(carry.len(), self.carry_len(model), "carry buffer length mismatch");
+        self.fold(model, view, wts, lo, hi, Some(carry))
+    }
+
+    /// The statistics fold over items `[lo, hi)`, shared by
+    /// [`SuffStats::accumulate`] (`carry = None`: every scalar chain starts
+    /// at zero and is added into `data` at the end) and
+    /// [`SuffStats::accumulate_tile`] (chains start from and end in
+    /// `carry`).
+    ///
+    /// Classes go in pairs, plus a single class when `j` is odd. Every
+    /// scalar accumulator is a latency-bound left fold over the items;
+    /// folding two classes in one item loop keeps each chain's exact order
+    /// but lets the two classes' chains overlap, and the class weight sum
+    /// rides along in the first scalar real group's loop instead of taking
+    /// a pass of its own.
+    fn fold(
+        &mut self,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+        lo: usize,
+        hi: usize,
+        mut carry: Option<&mut [f64]>,
+    ) -> u64 {
+        let j = self.layout.j;
+        let mut ops = 0;
+        let mut c = 0;
+        while c + 2 <= j {
+            ops += self.fold_classes::<2>(model, view, wts, lo, hi, c, carry.as_deref_mut());
+            c += 2;
+        }
+        if c < j {
+            ops += self.fold_classes::<1>(model, view, wts, lo, hi, c, carry);
+        }
+        ops
+    }
+
+    /// [`SuffStats::fold`] for the `L` classes starting at `c0`.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_classes<const L: usize>(
+        &mut self,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+        lo: usize,
+        hi: usize,
+        c0: usize,
+        mut carry: Option<&mut [f64]>,
+    ) -> u64 {
         let tl = hi - lo;
-        let mut ops: u64 = 0;
-        for c in 0..self.layout.j {
-            let w = &wts.class_column(c)[lo..hi];
-            let cbase = c * cstride;
-            // Continue the class-weight left fold exactly where the
-            // previous tile left it.
-            let mut wsum = carry[cbase];
-            for &wi in w {
-                wsum += wi;
-            }
-            carry[cbase] = wsum;
-            ops += tl as u64;
-            let mut coff = cbase + 1;
-            for (k, group) in model.groups.iter().enumerate() {
-                let range = self.layout.attr_range(c, k);
-                let block = &mut self.data[range];
-                match &group.prior {
-                    TermPrior::Normal { .. } => {
-                        let xs = &view.real_column(group.attrs[0])[lo..hi];
-                        let (mut s0, mut s1, mut s2) =
-                            (carry[coff], carry[coff + 1], carry[coff + 2]);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                s0 += wi;
-                                s1 += wi * x;
-                                s2 += wi * x * x;
-                            }
-                        }
-                        (carry[coff], carry[coff + 1], carry[coff + 2]) = (s0, s1, s2);
-                        coff += 3;
-                        ops += tl as u64;
+        let cstride = carry_stride(model);
+        let w: [&[f64]; L] = std::array::from_fn(|l| &wts.class_column(c0 + l)[lo..hi]);
+        // Carry slot `slot` of the pair's class `l`, and a chain's start:
+        // its carried value, or zero for a whole-partition fold.
+        let cslot = |l: usize, slot: usize| (c0 + l) * cstride + slot;
+        let start = |carry: &Option<&mut [f64]>, l: usize, slot: usize| {
+            carry.as_deref().map_or(0.0, |cy| cy[cslot(l, slot)])
+        };
+        let mut wsum: [f64; L] = std::array::from_fn(|l| start(&carry, l, 0));
+        let mut wsum_folded = false;
+        let mut ops: u64 = tl as u64;
+        let mut coff = 1;
+        for (k, group) in model.groups.iter().enumerate() {
+            let blocks: [std::ops::Range<usize>; L] =
+                std::array::from_fn(|l| self.layout.attr_range(c0 + l, k));
+            match &group.prior {
+                TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
+                    let xs = &view.real_column(group.attrs[0])[lo..hi];
+                    let mut s: [[f64; 3]; L] = std::array::from_fn(|l| {
+                        std::array::from_fn(|m| start(&carry, l, coff + m))
+                    });
+                    let ws = if wsum_folded { None } else { Some(&mut wsum) };
+                    if matches!(group.prior, TermPrior::LogNormal { .. }) {
+                        fold_real(xs, &w, ws, &mut s, f64::ln);
+                    } else {
+                        fold_real(xs, &w, ws, &mut s, |x| x);
                     }
-                    TermPrior::LogNormal { .. } => {
-                        let xs = &view.real_column(group.attrs[0])[lo..hi];
-                        let (mut s0, mut s1, mut s2) =
-                            (carry[coff], carry[coff + 1], carry[coff + 2]);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                let lx = x.ln();
-                                s0 += wi;
-                                s1 += wi * lx;
-                                s2 += wi * lx * lx;
-                            }
-                        }
-                        (carry[coff], carry[coff + 1], carry[coff + 2]) = (s0, s1, s2);
-                        coff += 3;
-                        ops += tl as u64;
-                    }
-                    TermPrior::Multinomial { missing_level, .. } => {
-                        let ls = &view.discrete_column(group.attrs[0])[lo..hi];
-                        let missing_slot = block.len() - 1;
-                        for (&l, &wi) in ls.iter().zip(w) {
-                            if l != crate::data::dataset::MISSING_DISCRETE {
-                                block[l as usize] += wi;
-                            } else if *missing_level {
-                                block[missing_slot] += wi;
-                            }
-                        }
-                        ops += tl as u64;
-                    }
-                    TermPrior::MultiNormal { dim, .. } => {
-                        let d = *dim;
-                        'items: for (t, &wi) in w.iter().enumerate() {
-                            let i = lo + t;
-                            for &attr in &group.attrs {
-                                if view.real_column(attr)[i].is_nan() {
-                                    continue 'items;
+                    wsum_folded = true;
+                    for (l, (sl, block)) in s.iter().zip(&blocks).enumerate() {
+                        match carry.as_deref_mut() {
+                            Some(cy) => cy[cslot(l, coff)..cslot(l, coff + 3)].copy_from_slice(sl),
+                            None => {
+                                for (d, v) in
+                                    self.data[block.start..block.start + 3].iter_mut().zip(sl)
+                                {
+                                    *d += v;
                                 }
                             }
+                        }
+                    }
+                    coff += 3;
+                    ops += tl as u64;
+                }
+                TermPrior::Multinomial { missing_level, .. } => {
+                    let ls = &view.discrete_column(group.attrs[0])[lo..hi];
+                    let missing_slot = blocks[0].len() - 1;
+                    for (t, &lv) in ls.iter().enumerate() {
+                        let slot = if lv != crate::data::dataset::MISSING_DISCRETE {
+                            lv as usize
+                        } else if *missing_level {
+                            missing_slot
+                        } else {
+                            continue;
+                        };
+                        for (wl, block) in w.iter().zip(&blocks) {
+                            self.data[block.clone()][slot] += wl[t];
+                        }
+                    }
+                    ops += tl as u64;
+                }
+                TermPrior::MultiNormal { dim, .. } => {
+                    // Joint block: skip items missing *any* block value.
+                    // Allocation-free: the columns are indexed through the
+                    // view directly (d is small, the repeated column
+                    // lookups are trivial next to the d² products).
+                    let d = *dim;
+                    'items: for t in 0..tl {
+                        let i = lo + t;
+                        for &attr in &group.attrs {
+                            if view.real_column(attr)[i].is_nan() {
+                                continue 'items;
+                            }
+                        }
+                        for (wl, block) in w.iter().zip(&blocks) {
+                            let wi = wl[t];
+                            let block = &mut self.data[block.clone()];
                             block[0] += wi;
                             for a in 0..d {
                                 let xa = view.real_column(group.attrs[a])[i];
@@ -316,12 +287,25 @@ impl SuffStats {
                                 }
                             }
                         }
-                        ops += (tl * d) as u64;
                     }
+                    ops += (tl * d) as u64;
                 }
             }
         }
-        ops
+        if !wsum_folded {
+            for t in 0..tl {
+                for (acc, wl) in wsum.iter_mut().zip(&w) {
+                    *acc += wl[t];
+                }
+            }
+        }
+        for (l, acc) in wsum.iter().enumerate() {
+            match carry.as_deref_mut() {
+                Some(cy) => cy[cslot(l, 0)] = *acc,
+                None => self.data[self.layout.weight_index(c0 + l)] += acc,
+            }
+        }
+        ops * L as u64
     }
 
     /// Flush the scalar accumulation chains carried across
@@ -361,6 +345,37 @@ impl SuffStats {
     /// weights were accumulated; each item contributes exactly 1).
     pub fn total_weight(&self) -> f64 {
         (0..self.layout.j).map(|c| self.class_weight(c)).sum()
+    }
+}
+
+/// One scalar real group's item loop for `L` classes: each class's
+/// `(s0, s1, s2)` — and, when `wsum` is given, its class weight sum — is
+/// its own left fold in item order. `f` maps a value to the modelled
+/// quantity (identity for Normal, `ln` for LogNormal); a missing (NaN)
+/// value adds to the weight sum only.
+#[inline(always)]
+fn fold_real<const L: usize>(
+    xs: &[f64],
+    w: &[&[f64]; L],
+    mut wsum: Option<&mut [f64; L]>,
+    s: &mut [[f64; 3]; L],
+    f: impl Fn(f64) -> f64,
+) {
+    let w = w.map(|col| &col[..xs.len()]);
+    for (t, &x) in xs.iter().enumerate() {
+        let miss = x.is_nan();
+        let v = f(x);
+        for (l, [s0, s1, s2]) in s.iter_mut().enumerate() {
+            let wi = w[l][t];
+            if let Some(ws) = wsum.as_deref_mut() {
+                ws[l] += wi;
+            }
+            if !miss {
+                *s0 += wi;
+                *s1 += wi * v;
+                *s2 += wi * v * v;
+            }
+        }
     }
 }
 

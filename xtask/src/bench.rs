@@ -120,6 +120,9 @@ pub fn bench(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--native") {
+        if let Some(code) = crate::refuse_debug_wall_rows("bench --native", smoke) {
+            return code;
+        }
         let out_path =
             flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("BENCH_7.json"));
         let json = match run_native_benchmarks(smoke) {
@@ -135,6 +138,9 @@ pub fn bench(args: &[String]) -> ExitCode {
         }
         println!("xtask bench --native: wrote {}", out_path.display());
         return ExitCode::SUCCESS;
+    }
+    if let Some(code) = crate::refuse_debug_wall_rows("bench", smoke) {
+        return code;
     }
     let default_out = root.join("BENCH_2.json");
     let out_path = flag_value("--out").map(Into::into).unwrap_or(default_out);

@@ -54,6 +54,9 @@ pub fn calibrate(args: &[String]) -> ExitCode {
     if let Some(path) = flag_value("--check") {
         return check(Path::new(path));
     }
+    if let Some(code) = crate::refuse_debug_wall_rows("calibrate", smoke) {
+        return code;
+    }
     let root = crate::repo_root();
     let out_path =
         flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("CALIBRATE.json"));

@@ -79,6 +79,23 @@ fn repo_root() -> PathBuf {
     manifest.parent().map(Path::to_path_buf).unwrap_or(manifest)
 }
 
+/// Refuse to record wall-clock rows from a debug build: `cargo xtask` is
+/// `cargo run` without `--release`, and unoptimized kernels run several
+/// times slower (blocked E-step 13.1 M vs 100.5 M items/s), so every wall
+/// row would be wrong. `command` is the task's argument list, quoted back
+/// in the message. `--smoke` runs (structural gates only) pass in any
+/// profile, and `--check` never reaches this.
+fn refuse_debug_wall_rows(command: &str, smoke: bool) -> Option<ExitCode> {
+    if smoke || !cfg!(debug_assertions) {
+        return None;
+    }
+    eprintln!(
+        "xtask {command}: refusing to time a debug build; wall-clock rows need \
+         `cargo run --release -p xtask -- {command}` (or add --smoke)"
+    );
+    Some(ExitCode::FAILURE)
+}
+
 /// The legacy lint gate: the five historical rules, old output format,
 /// unwaivered errors only. (`analyze` is the superset.)
 fn lint() -> ExitCode {
