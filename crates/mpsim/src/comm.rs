@@ -23,11 +23,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::clock::Clock;
+use crate::collectives::{PointToPoint, COLL_TAG_BASE};
 use crate::coop::{CoopShared, Deposit};
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
 use crate::payload::{checksum, decode_f64s, decode_u64s, encode_f64s, encode_u64s, DecodeError};
+use crate::subcomm::{Group, GroupHost, SubComm};
 use crate::trace::{Event, EventKind, PhaseStats, RankStats};
 use crate::verify::{hash_f64s, CollFingerprint, VerifyState, USER_REPL_COMM, WORLD_COMM};
 
@@ -175,7 +177,7 @@ pub struct Comm {
     /// Monotone counter giving every collective call a unique tag; all
     /// ranks must invoke collectives in the same order (SPMD discipline),
     /// exactly as MPI requires.
-    pub(crate) coll_seq: u64,
+    coll_seq: u64,
     /// Monotone counter for user-level [`Comm::verify_replicated`] calls.
     repl_seq: u64,
     /// Phase names, parallel to the clock's time buckets; `[0]` is the
@@ -188,7 +190,7 @@ pub struct Comm {
     /// Message event trace; `None` when tracing is disabled.
     events: Option<Vec<Event>>,
     /// Shared verification state; `None` when every check is disabled.
-    pub(crate) verify: Option<Arc<VerifyState>>,
+    verify: Option<Arc<VerifyState>>,
     /// Shared fault-injection state; `None` when no fault plan is active.
     fault: Option<Arc<FaultState>>,
     /// Shared in-flight replay log (see [`crate::replay`]); `None` when
@@ -894,47 +896,6 @@ impl Comm {
         self.events.take().unwrap_or_default()
     }
 
-    /// Raise a collective-argument-mismatch error (used by collectives when
-    /// they can detect inconsistency cheaply).
-    pub(crate) fn mismatch(&self, detail: String) -> ! {
-        self.fail(SimError::CollectiveMismatch { rank: self.rank, detail })
-    }
-
-    /// Enter a collective: allocate its unique tag, count it, and — when
-    /// collective checking is enabled — cross-validate this rank's
-    /// fingerprint against the other ranks' claims for the same sequence
-    /// number, failing the run on divergence.
-    pub(crate) fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
-        self.coll_seq += 1;
-        self.stats.collectives += 1;
-        self.phase_counters[self.clock.current_phase()].collectives += 1;
-        if let Some(v) = &self.verify {
-            if v.opts().check_collectives {
-                if let Err(e) =
-                    v.check_collective(self.rank, WORLD_COMM, self.coll_seq, self.size, fp)
-                {
-                    self.fail(e);
-                }
-            }
-        }
-        crate::collectives::COLL_TAG_BASE + self.coll_seq
-    }
-
-    /// Hash a collective's replicated result buffer and cross-check it
-    /// against the other ranks (no-op unless replication checking is on).
-    pub(crate) fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let Some(v) = &self.verify else { return };
-        if !v.opts().check_replication {
-            return;
-        }
-        let hash = hash_f64s(buf);
-        if let Err(e) =
-            v.check_replication(self.rank, WORLD_COMM, self.coll_seq, self.size, label, hash)
-        {
-            self.fail(e);
-        }
-    }
-
     /// Whether replication-invariant hashing is enabled for this run.
     /// Lets callers skip assembling a flattened buffer for
     /// [`verify_replicated`](Self::verify_replicated) when it is off.
@@ -952,16 +913,75 @@ impl Comm {
     /// [`crate::verify::VerifyOptions::check_replication`] is enabled, so
     /// calls can stay in production code paths.
     pub fn verify_replicated(&mut self, label: &str, data: &[f64]) {
-        let Some(v) = &self.verify else { return };
-        if !v.opts().check_replication {
-            return;
-        }
         self.repl_seq += 1;
-        let hash = hash_f64s(data);
-        if let Err(e) =
-            v.check_replication(self.rank, USER_REPL_COMM, self.repl_seq, self.size, label, hash)
-        {
-            self.fail(e);
+        self.check_replicated_in(USER_REPL_COMM, self.repl_seq, self.size, label, data);
+    }
+
+    /// Split the world communicator by color: ranks passing equal colors
+    /// form a group. Collective over the world communicator.
+    pub fn split(&mut self, color: u32) -> SubComm<'_> {
+        Group::split_world(self, color)
+    }
+}
+
+impl PointToPoint for Comm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.size
+    }
+    fn machine(&self) -> &MachineSpec {
+        &self.spec
+    }
+    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
+        Comm::send_f64s(self, dst, tag, values);
+    }
+    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        Comm::recv_f64s(self, src, tag)
+    }
+    fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
+        self.coll_seq += 1;
+        self.stats.collectives += 1;
+        self.phase_counters[self.clock.current_phase()].collectives += 1;
+        self.check_collective_in(WORLD_COMM, self.coll_seq, self.size, fp);
+        COLL_TAG_BASE + self.coll_seq
+    }
+    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
+        self.check_replicated_in(WORLD_COMM, self.coll_seq, self.size, label, buf);
+    }
+    fn mismatch(&self, detail: String) -> ! {
+        self.fail(SimError::CollectiveMismatch { rank: self.rank, detail })
+    }
+}
+
+impl GroupHost for Comm {
+    fn coll_seq(&self) -> u64 {
+        self.coll_seq
+    }
+    fn check_collective_in(&mut self, comm_id: u64, seq: u64, group: usize, fp: CollFingerprint) {
+        let Some(v) = &self.verify else { return };
+        if v.opts().check_collectives {
+            if let Err(e) = v.check_collective(self.rank, comm_id, seq, group, fp) {
+                self.fail(e);
+            }
+        }
+    }
+    fn check_replicated_in(
+        &mut self,
+        comm_id: u64,
+        seq: u64,
+        group: usize,
+        label: &str,
+        buf: &[f64],
+    ) {
+        let Some(v) = &self.verify else { return };
+        if v.opts().check_replication {
+            if let Err(e) =
+                v.check_replication(self.rank, comm_id, seq, group, label, hash_f64s(buf))
+            {
+                self.fail(e);
+            }
         }
     }
 }

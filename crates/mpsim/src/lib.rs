@@ -36,9 +36,11 @@
 //! * [`clock`] — per-rank virtual clocks with compute/comm/idle accounting
 //! * [`comm`] — point-to-point messaging ([`Comm`]), blocking and
 //!   non-blocking ([`Request`] handles with `wait`/`waitall`)
-//! * [`collectives`] — Barrier/Bcast/Reduce/Allreduce/Gather/… on top of
-//!   point-to-point, with textbook algorithms
-//! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue)
+//! * [`collectives`] — Barrier/Bcast/Reduce/Allreduce/Gather/… with
+//!   textbook algorithms, each written once over the [`PointToPoint`]
+//!   trait that both backends (and every group) implement
+//! * [`subcomm`] — the one generic group communicator ([`Group`];
+//!   `MPI_Comm_split` analogue) over either backend
 //! * [`engine`] — the SPMD launcher ([`run_spmd`]) and its two execution
 //!   engines: thread-per-rank ([`Engine::Threaded`]) and the cooperative
 //!   virtual-time scheduler ([`Engine::Cooperative`]) for `P = 1024+`
@@ -79,7 +81,7 @@ pub mod traits;
 pub mod verify;
 
 pub use clock::PhaseTimes;
-pub use collectives::ReduceOp;
+pub use collectives::{PointToPoint, ReduceOp};
 pub use comm::{Comm, Request, DEFAULT_PHASE, MAX_USER_TAG};
 pub use cost::{
     predicted_allreduce_cost, presets, select_allreduce, AllreduceAlgo, ComputeModel, MachineSpec,
@@ -91,7 +93,7 @@ pub use fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use payload::DecodeError;
 pub use replay::{ReplayEntry, ReplayLog};
 pub use report::{PhaseRow, Report, RunRecord, RunRow};
-pub use subcomm::SubComm;
+pub use subcomm::{Group, GroupHost, SubComm};
 pub use topology::Topology;
 pub use trace::{Event, EventKind, PhaseStats, RankStats, RunStats, RECOVERY_PHASE};
 pub use traits::{CommError, Communicator, GroupCommunicator};

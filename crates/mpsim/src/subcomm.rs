@@ -1,45 +1,72 @@
-//! Sub-communicators: the `MPI_Comm_split` analogue.
+//! Sub-communicators: the `MPI_Comm_split` analogue, one generic group
+//! type for every backend.
 //!
-//! [`Comm::split`] partitions the world by a `color`; ranks sharing a
-//! color form a sub-communicator with dense ranks `0..group size` ordered
-//! by world rank. The returned [`SubComm`] borrows the world communicator
-//! and offers the core collectives over the group, with a disjoint tag
-//! space so group traffic can never be confused with world traffic.
+//! [`Group::split_world`] partitions a world communicator by a `color`;
+//! ranks sharing a color form a group with dense ranks `0..group size`
+//! ordered by world rank, and [`Group::split`] does the same to a group.
+//! A [`Group`] borrows its world communicator and is itself a
+//! [`PointToPoint`] endpoint (group ranks mapped to world ranks, a
+//! disjoint tag space), so group collectives run the very schedules of
+//! [`crate::collectives`]. [`SubComm`] is the simulator's instance;
+//! `shmcomm::NativeSubComm` is the native backend's.
 //!
-//! As with MPI, `split` is itself collective: every rank of the world
+//! As with MPI, `split` is itself collective: every rank of the parent
 //! communicator must call it (with whatever color), in the same relative
 //! order with respect to other collectives.
 
-use crate::collectives::ReduceOp;
+use crate::collectives::{self, PointToPoint, ReduceOp};
 use crate::comm::Comm;
-use crate::verify::{CollFingerprint, CollKind};
+use crate::cost::{AllreduceAlgo, MachineSpec};
+use crate::traits::{Communicator, GroupCommunicator};
+use crate::verify::CollFingerprint;
 
 /// Tag-space marker for sub-communicator traffic (bit 63).
 const SUB_TAG_BASE: u64 = 1 << 63;
 
 /// Marker bit (bit 30 of the color key) for groups formed by splitting a
-/// [`SubComm`] — keeps a nested group's tags and verifier registry ids
-/// disjoint from every first-level split's, whatever colors are used.
+/// group — keeps a nested group's tags and verifier registry ids disjoint
+/// from every first-level split's, whatever colors are used.
 const NESTED_COLOR_BIT: u32 = 1 << 30;
 
 /// The color key a nested group stamps into its tag space: parent and
 /// child colors packed side by side (15 bits each) under the nested
 /// marker bit. Two levels of splitting with colors below 2^15 are
-/// supported — far beyond the fleet hierarchy's needs — and the native
-/// backend computes the identical key, keeping tags bitwise aligned
-/// across backends.
-pub(crate) fn nested_color_key(parent: u32, child: u32) -> u32 {
+/// supported — far beyond the fleet hierarchy's needs.
+fn nested_color_key(parent: u32, child: u32) -> u32 {
     NESTED_COLOR_BIT | ((parent & 0x7FFF) << 15) | (child & 0x7FFF)
 }
 
+/// What a world communicator provides to the [`Group`]s split from it:
+/// the collective sequence a split derives the group's registry id from,
+/// and the verification hooks scoped to a group. `comm_id` names the
+/// group in the verifier's registries, `seq` is the group's collective
+/// sequence number and `group` its size.
+pub trait GroupHost: Communicator {
+    /// Sequence number of the last world collective entered.
+    fn coll_seq(&self) -> u64;
+    /// Cross-check a group collective's fingerprint (no-op unless the
+    /// backend verifies collectives).
+    fn check_collective_in(&mut self, comm_id: u64, seq: u64, group: usize, fp: CollFingerprint);
+    /// Hash a group collective's replicated result and cross-check it
+    /// within the group (no-op unless replication checking is on).
+    fn check_replicated_in(
+        &mut self,
+        comm_id: u64,
+        seq: u64,
+        group: usize,
+        label: &str,
+        buf: &[f64],
+    );
+}
+
 /// A communicator over a subset of the world's ranks.
-pub struct SubComm<'a> {
-    world: &'a mut Comm,
-    /// World ranks of the members, ascending; index = sub rank.
+pub struct Group<'a, W> {
+    world: &'a mut W,
+    /// World ranks of the members, ascending; index = group rank.
     members: Vec<usize>,
     /// This rank's position within `members`.
     rank: usize,
-    /// Color the group was formed with (part of the tag space).
+    /// Color key the group was formed with (part of the tag space).
     color: u32,
     /// Per-group collective sequence number.
     seq: u64,
@@ -48,30 +75,60 @@ pub struct SubComm<'a> {
     comm_id: u64,
 }
 
-impl Comm {
+/// The simulator's group communicator.
+pub type SubComm<'a> = Group<'a, Comm>;
+
+/// The ranks (in `colors`' indexing) that chose `color`, and this rank's
+/// position among them.
+fn same_color(colors: impl Iterator<Item = f64>, color: u32, me: usize) -> (Vec<usize>, usize) {
+    let members: Vec<usize> =
+        colors.enumerate().filter(|(_, c)| *c as u32 == color).map(|(r, _)| r).collect();
+    let rank = members
+        .iter()
+        .position(|&r| r == me)
+        // lint:allow(unwrap): the exchange included this rank's own color
+        .expect("calling rank is in its own color group");
+    (members, rank)
+}
+
+impl<'a, W: GroupHost> Group<'a, W> {
     /// Split the world communicator by color: ranks passing equal colors
-    /// form a group. Collective over the world communicator.
-    pub fn split(&mut self, color: u32) -> SubComm<'_> {
-        // Allgather (world) of colors to agree on the membership.
-        let mine = [color as f64];
-        let all = self.allgather_f64s(&mine);
-        let members: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| c[0] as u32 == color).map(|(r, _)| r).collect();
-        let rank = members
-            .iter()
-            .position(|&r| r == self.rank())
-            // lint:allow(unwrap): the allgather included this rank's own color
-            .expect("calling rank is in its own color group");
+    /// form a group. Collective over the world communicator (an allgather
+    /// of the colors).
+    pub fn split_world(world: &'a mut W, color: u32) -> Self {
+        let all = collectives::allgather_f64s(world, &[f64::from(color)]);
+        let (members, rank) = same_color(all.iter().map(|c| c[0]), color, world.rank());
         // All members observed the same split allgather, so they agree on
         // the world collective sequence number and derive the same id;
         // including it keeps successive same-color splits distinct in the
         // verifier's registry.
-        let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | self.coll_seq;
-        SubComm { world: self, members, rank, color, seq: 0, comm_id }
+        let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | world.coll_seq();
+        Group { world, members, rank, color, seq: 0, comm_id }
     }
-}
 
-impl SubComm<'_> {
+    /// Split this group by color: members passing equal colors form a
+    /// nested group (`MPI_Comm_split` on a non-world communicator), with
+    /// dense ranks ordered by parent group rank. The membership exchange
+    /// runs as a group gather + broadcast. Collective over this group.
+    pub fn split(&mut self, color: u32) -> Group<'_, W> {
+        let mut all = vec![0.0; self.size()];
+        if let Some(gathered) = self.gather_f64s(0, &[f64::from(color)]) {
+            all.copy_from_slice(&gathered);
+        }
+        self.broadcast_f64s(0, &mut all);
+        let (members_sub, rank) = same_color(all.into_iter(), color, self.rank);
+        // Child membership in *world* ranks, so the nested group talks
+        // straight over the world communicator like any first-level group.
+        let members = members_sub.iter().map(|&r| self.members[r]).collect();
+        let key = nested_color_key(self.color, color);
+        // All members agree on the parent's collective sequence here (they
+        // just ran the same gather + broadcast), so they derive the same
+        // registry id; including it keeps successive same-color nested
+        // splits distinct in the verifier's registry.
+        let comm_id = SUB_TAG_BASE | (u64::from(key) << 32) | self.seq;
+        Group { world: &mut *self.world, members, rank, color: key, seq: 0, comm_id }
+    }
+
     /// This rank's id within the group.
     pub fn rank(&self) -> usize {
         self.rank
@@ -87,223 +144,123 @@ impl SubComm<'_> {
         &self.members
     }
 
-    /// Access the underlying world communicator (e.g. for `work`).
-    pub fn world(&mut self) -> &mut Comm {
+    /// Access the underlying world communicator.
+    pub fn world(&mut self) -> &mut W {
         self.world
     }
 
-    /// Charge local compute on the member's clock; forwards to
-    /// [`Comm::work`] so group-local algorithms (e.g. a shrunk EM resume
-    /// after a rank failure) read naturally without reaching for
-    /// [`SubComm::world`] on every step.
+    /// Account local compute on the member's world clock, so group-local
+    /// algorithms (e.g. a shrunk EM resume after a rank failure) read
+    /// naturally without reaching for [`Group::world`] on every step.
     pub fn work(&mut self, ops: u64) {
         self.world.work(ops);
     }
 
-    /// Allreduce of a single scalar over the group; the group analogue of
-    /// [`Comm::allreduce_scalar`].
+    /// Synchronize the group (dissemination barrier over group ranks).
+    pub fn barrier(&mut self) {
+        collectives::barrier(self);
+    }
+
+    /// Broadcast from the group-rank `root` to the group (binomial tree).
+    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        collectives::broadcast_f64s(self, root, buf);
+    }
+
+    /// Allreduce over the group. Always recursive doubling: group sizes
+    /// are small and ragged (fleets, survivors), where its `log2 P` full-
+    /// vector rounds beat the bandwidth-optimal schedules, and one fixed
+    /// schedule keeps group results independent of the world machine's
+    /// algorithm setting.
+    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        collectives::allreduce_f64s_with(self, buf, op, AllreduceAlgo::RecursiveDoubling);
+    }
+
+    /// Allreduce of a single scalar over the group.
     pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
         let mut buf = [value];
         self.allreduce_f64s(&mut buf, op);
         buf[0]
     }
 
-    fn next_tag(&mut self) -> u64 {
-        self.seq += 1;
-        SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
-    }
-
-    /// Enter a group collective: allocate its tag and cross-validate the
-    /// fingerprint against the other group members (world-rank labelled,
-    /// so divergence reports stay unambiguous).
-    fn coll_enter(
-        &mut self,
-        kind: CollKind,
-        root: Option<usize>,
-        op: Option<ReduceOp>,
-        elems: usize,
-    ) -> u64 {
-        let tag = self.next_tag();
-        let world_rank = self.members[self.rank];
-        if let Some(v) = &self.world.verify {
-            if v.opts().check_collectives {
-                let fp = CollFingerprint { kind, root, op, elems: Some(elems) };
-                if let Err(e) =
-                    v.check_collective(world_rank, self.comm_id, self.seq, self.members.len(), fp)
-                {
-                    self.world.fail(e);
-                }
-            }
-        }
-        tag
-    }
-
-    /// Hash a group collective's replicated result and cross-check it
-    /// within the group (no-op unless replication checking is on).
-    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let world_rank = self.members[self.rank];
-        let Some(v) = &self.world.verify else { return };
-        if !v.opts().check_replication {
-            return;
-        }
-        let hash = crate::verify::hash_f64s(buf);
-        if let Err(e) =
-            v.check_replication(world_rank, self.comm_id, self.seq, self.members.len(), label, hash)
-        {
-            self.world.fail(e);
-        }
-    }
-
-    fn send(&mut self, sub_dst: usize, tag: u64, values: &[f64]) {
-        let dst = self.members[sub_dst];
-        self.world.send_f64s(dst, tag, values);
-    }
-
-    fn recv(&mut self, sub_src: usize, tag: u64) -> Vec<f64> {
-        let src = self.members[sub_src];
-        self.world.recv_f64s(src, tag)
-    }
-
-    /// Synchronize the group (dissemination barrier over group ranks).
-    pub fn barrier(&mut self) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Barrier, None, None, 0);
-        let me = self.rank;
-        let mut k = 1usize;
-        while k < p {
-            self.send((me + k) % p, tag, &[]);
-            let _ = self.recv((me + p - k) % p, tag);
-            k <<= 1;
-        }
-    }
-
-    /// Broadcast from the group-rank `root` to the group (binomial tree).
-    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Broadcast, Some(root), None, buf.len());
-        let me = self.rank;
-        let vrank = (me + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (me + p - mask) % p;
-                let data = self.recv(src, tag);
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (me + mask) % p;
-                let copy = buf.to_vec();
-                self.send(dst, tag, &copy);
-            }
-            mask >>= 1;
-        }
-        self.check_replicated_result("group broadcast result", buf);
-    }
-
-    /// Allreduce over the group (recursive doubling with the standard
-    /// non-power-of-two pre/post steps).
-    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Allreduce, None, Some(op), buf.len());
-        let me = self.rank;
-        let pow2 = if p.is_power_of_two() { p } else { p.next_power_of_two() / 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            let partner = me - pow2;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            buf.copy_from_slice(&data);
-            self.check_replicated_result("group allreduce result", buf);
-            return;
-        }
-        if me < rem {
-            let data = self.recv(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            op.fold(buf, &data);
-            mask <<= 1;
-        }
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send(me + pow2, tag, &copy);
-        }
-        self.check_replicated_result("group allreduce result", buf);
-    }
-
     /// Gather variable-length vectors to the group-rank `root`,
     /// concatenated in group-rank order. `Some` on the root.
     pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let tag = self.coll_enter(CollKind::Gather, Some(root), None, mine.len());
-        if self.rank == root {
-            let mut all = Vec::with_capacity(mine.len() * p);
-            for src in 0..p {
-                if src == self.rank {
-                    all.extend_from_slice(mine);
-                } else {
-                    let data = self.recv(src, tag);
-                    all.extend_from_slice(&data);
-                }
-            }
-            Some(all)
-        } else {
-            self.send(root, tag, mine);
-            None
-        }
+        collectives::gather_f64s(self, root, mine)
     }
+}
 
-    /// Split this group by color: members passing equal colors form a
-    /// nested sub-communicator (`MPI_Comm_split` on a non-world
-    /// communicator), with dense ranks ordered by parent group rank. The
-    /// membership exchange runs as a group gather + broadcast — schedules
-    /// both backends already share — so nested splits stay bitwise
-    /// aligned across backends too. Collective over this group.
-    pub fn split(&mut self, color: u32) -> SubComm<'_> {
-        let p = self.size();
-        let mut all = vec![0.0; p];
-        if let Some(gathered) = self.gather_f64s(0, &[f64::from(color)]) {
-            all.copy_from_slice(&gathered);
-        }
-        self.broadcast_f64s(0, &mut all);
-        let members_sub: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| **c as u32 == color).map(|(r, _)| r).collect();
-        let rank = members_sub
-            .iter()
-            .position(|&r| r == self.rank)
-            // lint:allow(unwrap): the gather included this rank's own color
-            .expect("calling rank is in its own color group");
-        // Child membership in *world* ranks, so the nested group talks
-        // straight over the world communicator like any first-level group.
-        let members: Vec<usize> = members_sub.iter().map(|&r| self.members[r]).collect();
-        let key = nested_color_key(self.color, color);
-        // All members agree on the parent's collective sequence here (they
-        // just ran the same gather + broadcast), so they derive the same
-        // registry id; including it keeps successive same-color nested
-        // splits distinct in the verifier's registry.
-        let comm_id = SUB_TAG_BASE | (u64::from(key) << 32) | self.seq;
-        SubComm { world: &mut *self.world, members, rank, color: key, seq: 0, comm_id }
+impl<W: GroupHost> PointToPoint for Group<'_, W> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.members.len()
+    }
+    fn machine(&self) -> &MachineSpec {
+        self.world.machine()
+    }
+    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
+        self.world.send_f64s(self.members[dst], tag, values);
+    }
+    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        self.world.recv_f64s(self.members[src], tag)
+    }
+    /// Allocate the next group tag and cross-check the fingerprint
+    /// against the other members (world-rank labelled, so divergence
+    /// reports stay unambiguous). World collective counters are untouched.
+    fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
+        self.seq += 1;
+        let (id, seq, n) = (self.comm_id, self.seq, self.members.len());
+        self.world.check_collective_in(id, seq, n, fp);
+        SUB_TAG_BASE | (u64::from(self.color) << 32) | seq
+    }
+    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
+        let (id, seq, n) = (self.comm_id, self.seq, self.members.len());
+        self.world.check_replicated_in(id, seq, n, label, buf);
+    }
+    fn mismatch(&self, detail: String) -> ! {
+        self.world.mismatch(detail)
+    }
+}
+
+impl<W: GroupHost> GroupCommunicator for Group<'_, W> {
+    type Child<'c>
+        = Group<'c, W>
+    where
+        Self: 'c;
+
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.members.len()
+    }
+    fn members(&self) -> &[usize] {
+        &self.members
+    }
+    fn work(&mut self, ops: u64) {
+        self.world.work(ops);
+    }
+    fn enter_phase(&mut self, name: &str) {
+        self.world.enter_phase(name);
+    }
+    fn exit_phase(&mut self) {
+        self.world.exit_phase();
+    }
+    fn barrier(&mut self) {
+        Group::barrier(self);
+    }
+    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        Group::broadcast_f64s(self, root, buf);
+    }
+    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        Group::allreduce_f64s(self, buf, op);
+    }
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        Group::gather_f64s(self, root, mine)
+    }
+    fn split(&mut self, color: u32) -> Group<'_, W> {
+        Group::split(self, color)
     }
 }
 

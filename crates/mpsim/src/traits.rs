@@ -6,19 +6,20 @@
 //! sends/receives, the allreduce family (blocking and non-blocking),
 //! broadcast/gather, phase spans, replication checks, and `split` — and
 //! [`GroupCommunicator`] captures the subset a post-split group supports.
-//! [`crate::Comm`] / [`crate::SubComm`] are the first implementors (the
-//! simulated backend); the `shmcomm` crate provides a wall-clock native
-//! backend over OS threads implementing the same traits with the same
-//! collective schedules, so one generic SPMD driver runs on either.
+//! [`crate::Comm`] is the simulated implementor and `shmcomm::NativeComm`
+//! the wall-clock one over OS threads; [`crate::subcomm::Group`] is the
+//! group communicator over either, so one generic SPMD driver runs on
+//! both backends.
 //!
 //! # Determinism contract
 //!
-//! An implementation must fold reductions in a *fixed, rank-ordered or
-//! tree-ordered* sequence that depends only on `(algorithm, P, length)` —
-//! never on arrival order, scheduling, or wall-clock races — so that two
-//! backends running the same driver produce bitwise-identical `f64`
-//! results. The schedules in [`crate::collectives`] define the reference
-//! fold orders.
+//! Neither backend has collective schedules of its own: both implement
+//! the [`PointToPoint`] supertrait, and every collective runs the one
+//! generic schedule in [`crate::collectives`], whose fold order depends
+//! only on `(algorithm, P, length)` — never on arrival order, scheduling,
+//! or wall-clock races. Two backends running the same driver therefore
+//! produce bitwise-identical `f64` results because the schedule exists
+//! once, not because two copies are kept in step.
 //!
 //! # Errors
 //!
@@ -28,9 +29,9 @@
 //! simulated analogue (a disconnected channel, a poisoned mutex) get
 //! their own variants instead of escaping as raw panics.
 
-use crate::collectives::ReduceOp;
+use crate::collectives::{self, PointToPoint, ReduceOp};
 use crate::comm::{Comm, Request};
-use crate::cost::{AllreduceAlgo, MachineSpec};
+use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
 use crate::subcomm::SubComm;
 
@@ -161,12 +162,15 @@ impl From<SimError> for CommError {
 /// The world-communicator surface the SPMD driver is generic over.
 ///
 /// Implementations: [`crate::Comm`] (simulated virtual time) and
-/// `shmcomm::NativeComm` (wall-clock OS threads). All methods carry the
-/// SPMD discipline of their concrete counterparts: collectives must be
-/// called by every rank in the same order with compatible arguments, and
-/// every non-blocking request must be retired by exactly one
+/// `shmcomm::NativeComm` (wall-clock OS threads). A backend implements the
+/// [`PointToPoint`] supertrait plus the timing, non-blocking and
+/// replication methods below; every collective defaults to the one shared
+/// schedule in [`crate::collectives`]. All methods carry the SPMD
+/// discipline of their concrete counterparts: collectives must be called
+/// by every rank in the same order with compatible arguments, and every
+/// non-blocking request must be retired by exactly one
 /// [`Communicator::wait`] / [`Communicator::waitall`].
-pub trait Communicator {
+pub trait Communicator: PointToPoint {
     /// Handle for a non-blocking operation posted on this backend.
     type Req;
     /// The sub-communicator type [`Communicator::split`] produces; borrows
@@ -176,14 +180,6 @@ pub trait Communicator {
     where
         Self: 'g;
 
-    /// This rank's id in `0..size()`.
-    fn rank(&self) -> usize;
-    /// Number of ranks in the communicator.
-    fn size(&self) -> usize;
-    /// The machine description (used for algorithm selection; on the
-    /// native backend it describes the machine being *compared against*,
-    /// so both backends take identical algorithm-choice branches).
-    fn machine(&self) -> &MachineSpec;
     /// Current time on this rank, in seconds (virtual or wall-clock,
     /// depending on the backend).
     fn now(&self) -> f64;
@@ -196,10 +192,6 @@ pub trait Communicator {
     /// Close the innermost open phase span.
     fn exit_phase(&mut self);
 
-    /// Blocking typed send of an `f64` slice.
-    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]);
-    /// Blocking typed receive of an `f64` vector.
-    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64>;
     /// Non-blocking send; the returned request must be waited.
     fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Self::Req;
     /// Post a non-blocking receive; the matching wait yields the payload.
@@ -207,19 +199,32 @@ pub trait Communicator {
     /// Retire a non-blocking request (receives yield `Some(payload)`).
     fn wait(&mut self, req: &mut Self::Req) -> Option<Vec<f64>>;
     /// Retire every request in order, collecting each wait's result.
-    fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>>;
+    fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>> {
+        reqs.iter_mut().map(|r| self.wait(r)).collect()
+    }
 
     /// Synchronize all ranks.
-    fn barrier(&mut self);
+    fn barrier(&mut self) {
+        collectives::barrier(self);
+    }
     /// Broadcast `buf` from `root` to all ranks.
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]);
+    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        collectives::broadcast_f64s(self, root, buf);
+    }
     /// Gather each rank's vector to `root`, concatenated in rank order.
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>>;
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        collectives::gather_f64s(self, root, mine)
+    }
     /// Allreduce with the machine's default algorithm.
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp);
+    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        let algo = self.machine().allreduce;
+        self.allreduce_f64s_with(buf, op, algo);
+    }
     /// Allreduce with an explicit algorithm (`Auto` resolves identically
     /// on every rank and backend).
-    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo);
+    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
+        collectives::allreduce_f64s_with(self, buf, op, algo);
+    }
     /// Allreduce of a single scalar; returns the reduced value.
     fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
         let mut buf = [value];
@@ -227,7 +232,10 @@ pub trait Communicator {
         buf[0]
     }
     /// Non-blocking allreduce with the machine's default algorithm.
-    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req;
+    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req {
+        let algo = self.machine().allreduce;
+        self.iallreduce_f64s_with(buf, op, algo)
+    }
     /// Non-blocking allreduce with an explicit algorithm. Data movement
     /// may run eagerly (both current backends do), which keeps results
     /// bitwise identical to the blocking call; only completion timing is
@@ -259,7 +267,8 @@ pub trait Communicator {
 
 /// The group-communicator surface a [`Communicator::split`] result
 /// supports: the collectives the shrink-and-redistribute recovery path
-/// uses, plus phase attribution on the underlying world clock.
+/// uses, plus phase attribution on the underlying world clock. Its one
+/// implementation is [`crate::subcomm::Group`], over either backend.
 pub trait GroupCommunicator {
     /// The nested sub-communicator type [`GroupCommunicator::split`]
     /// produces; borrows this group (and through it the world
@@ -304,15 +313,6 @@ impl Communicator for Comm {
     type Req = Request;
     type Group<'g> = SubComm<'g>;
 
-    fn rank(&self) -> usize {
-        Comm::rank(self)
-    }
-    fn size(&self) -> usize {
-        Comm::size(self)
-    }
-    fn machine(&self) -> &MachineSpec {
-        Comm::machine(self)
-    }
     fn now(&self) -> f64 {
         Comm::now(self)
     }
@@ -325,12 +325,6 @@ impl Communicator for Comm {
     fn exit_phase(&mut self) {
         Comm::exit_phase(self);
     }
-    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
-        Comm::send_f64s(self, dst, tag, values);
-    }
-    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        Comm::recv_f64s(self, src, tag)
-    }
     fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
         Comm::isend_f64s(self, dst, tag, values)
     }
@@ -339,30 +333,6 @@ impl Communicator for Comm {
     }
     fn wait(&mut self, req: &mut Request) -> Option<Vec<f64>> {
         Comm::wait(self, req)
-    }
-    fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Option<Vec<f64>>> {
-        Comm::waitall(self, reqs)
-    }
-    fn barrier(&mut self) {
-        Comm::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        Comm::broadcast_f64s(self, root, buf);
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        Comm::gather_f64s(self, root, mine)
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        Comm::allreduce_f64s(self, buf, op);
-    }
-    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
-        Comm::allreduce_f64s_with(self, buf, op, algo);
-    }
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        Comm::allreduce_scalar(self, value, op)
-    }
-    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Request {
-        Comm::iallreduce_f64s(self, buf, op)
     }
     fn iallreduce_f64s_with(
         &mut self,
@@ -383,50 +353,6 @@ impl Communicator for Comm {
     }
     fn split(&mut self, color: u32) -> SubComm<'_> {
         Comm::split(self, color)
-    }
-}
-
-impl GroupCommunicator for SubComm<'_> {
-    type Child<'c>
-        = SubComm<'c>
-    where
-        Self: 'c;
-
-    fn rank(&self) -> usize {
-        SubComm::rank(self)
-    }
-    fn size(&self) -> usize {
-        SubComm::size(self)
-    }
-    fn members(&self) -> &[usize] {
-        SubComm::members(self)
-    }
-    fn work(&mut self, ops: u64) {
-        SubComm::work(self, ops);
-    }
-    fn enter_phase(&mut self, name: &str) {
-        self.world().enter_phase(name);
-    }
-    fn exit_phase(&mut self) {
-        self.world().exit_phase();
-    }
-    fn barrier(&mut self) {
-        SubComm::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        SubComm::broadcast_f64s(self, root, buf);
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        SubComm::allreduce_f64s(self, buf, op);
-    }
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        SubComm::allreduce_scalar(self, value, op)
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        SubComm::gather_f64s(self, root, mine)
-    }
-    fn split(&mut self, color: u32) -> SubComm<'_> {
-        SubComm::split(self, color)
     }
 }
 

@@ -207,9 +207,9 @@ pub(crate) struct VerifyState {
 }
 
 /// Communicator id of the world communicator in the verification registry.
-pub(crate) const WORLD_COMM: u64 = 0;
+pub const WORLD_COMM: u64 = 0;
 /// Communicator id for user-level [`crate::Comm::verify_replicated`] calls.
-pub(crate) const USER_REPL_COMM: u64 = u64::MAX;
+pub const USER_REPL_COMM: u64 = u64::MAX;
 
 impl VerifyState {
     pub(crate) fn new(p: usize, opts: VerifyOptions) -> Self {

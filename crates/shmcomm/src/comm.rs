@@ -24,9 +24,14 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mpsim::collectives::{self, COLL_TAG_BASE};
 use mpsim::error::SimError;
 use mpsim::traits::CommError;
-use mpsim::{MachineSpec, PhaseStats, RankStats, DEFAULT_PHASE};
+use mpsim::verify::{USER_REPL_COMM, WORLD_COMM};
+use mpsim::{
+    AllreduceAlgo, CollFingerprint, Communicator, Group, GroupHost, MachineSpec, PhaseStats,
+    PointToPoint, RankStats, ReduceOp, DEFAULT_PHASE,
+};
 
 /// How long a blocked receive sleeps per poll before re-checking the
 /// abort flag and its deadline.
@@ -57,12 +62,6 @@ pub(crate) struct ReplCheck {
 
 /// `(comm_id, seq)` → (label, first poster's hash, ranks posted so far).
 type ReplSlots = std::collections::BTreeMap<(u64, u64), (String, u64, usize)>;
-
-/// Registry id of the world communicator (matches the simulator's).
-pub(crate) const WORLD_COMM: u64 = 0;
-/// Registry id for user-level `verify_replicated` checks (matches the
-/// simulator's).
-pub(crate) const USER_REPL_COMM: u64 = u64::MAX;
 
 impl ReplCheck {
     pub(crate) fn new() -> Self {
@@ -176,7 +175,7 @@ pub struct NativeComm {
     /// Messages this rank has sent — the native send-sequence axis
     /// `FaultTrigger::AtSendSeq` counts along.
     send_seq: u64,
-    pub(crate) coll_seq: u64,
+    coll_seq: u64,
     repl_seq: u64,
     phase_names: Vec<String>,
     buckets: Vec<Bucket>,
@@ -490,27 +489,132 @@ impl NativeComm {
         self.repl.is_some()
     }
 
-    /// Count a collective in the current phase and allocate its tag
-    /// (collective tags live above all user tags, same split as the
-    /// simulator's).
-    pub(crate) fn coll_enter(&mut self) -> u64 {
+    /// Assert that `data` is bitwise identical on every rank. Collective
+    /// (all ranks must call it in the same order); no-op unless
+    /// replication checking is enabled.
+    pub fn verify_replicated(&mut self, label: &str, data: &[f64]) {
+        self.repl_seq += 1;
+        self.check_replicated_in(USER_REPL_COMM, self.repl_seq, self.size, label, data);
+    }
+
+    // ---- collectives: the shared schedules of `mpsim::collectives` ----
+
+    /// Synchronize all ranks (dissemination barrier).
+    pub fn barrier(&mut self) {
+        collectives::barrier(self);
+    }
+
+    /// Broadcast `buf` from `root` to all ranks (binomial tree).
+    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        collectives::broadcast_f64s(self, root, buf);
+    }
+
+    /// Broadcast a single `u64` from `root`.
+    pub fn broadcast_u64(&mut self, root: usize, value: u64) -> u64 {
+        collectives::broadcast_u64(self, root, value)
+    }
+
+    /// Allreduce with the machine's default algorithm.
+    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        let algo = self.machine.allreduce;
+        collectives::allreduce_f64s_with(self, buf, op, algo);
+    }
+
+    /// Allreduce with an explicit algorithm. `Auto` resolves through the
+    /// same pure selection function as the simulator — on the machine
+    /// spec this run is compared against — so both backends dispatch to
+    /// the same concrete schedule.
+    pub fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
+        collectives::allreduce_f64s_with(self, buf, op, algo);
+    }
+
+    /// Allreduce of a single scalar; returns the reduced value.
+    pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
+        let mut buf = [value];
+        self.allreduce_f64s(&mut buf, op);
+        buf[0]
+    }
+
+    /// Non-blocking allreduce with the machine's default algorithm.
+    pub fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> NativeReq {
+        let algo = self.machine.allreduce;
+        self.iallreduce_f64s_with(buf, op, algo)
+    }
+
+    /// Non-blocking allreduce with an explicit algorithm. Like the
+    /// simulator's, the data movement runs *eagerly*: on return `buf`
+    /// already holds the reduction — bitwise identical to the blocking
+    /// call — and the returned request is complete. The simulator defers
+    /// only virtual wire time (hidden behind later `work`); on real
+    /// silicon there is no deferred wire to hide, so the pipelined
+    /// driver degenerates gracefully to its synchronous schedule.
+    pub fn iallreduce_f64s_with(
+        &mut self,
+        buf: &mut [f64],
+        op: ReduceOp,
+        algo: AllreduceAlgo,
+    ) -> NativeReq {
+        collectives::allreduce_f64s_with(self, buf, op, algo);
+        NativeReq { rank: self.rank, kind: ReqKind::Ready, done: false }
+    }
+
+    /// Gather each rank's vector to `root`, concatenated in rank order.
+    pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        collectives::gather_f64s(self, root, mine)
+    }
+
+    /// Allgather over a ring: `result[r]` is rank `r`'s contribution.
+    pub fn allgather_f64s(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
+        collectives::allgather_f64s(self, mine)
+    }
+
+    /// Split the world communicator by color: ranks passing equal colors
+    /// form a group. Collective over the world communicator.
+    pub fn split(&mut self, color: u32) -> NativeSubComm<'_> {
+        Group::split_world(self, color)
+    }
+}
+
+/// The native backend's group communicator.
+pub type NativeSubComm<'a> = Group<'a, NativeComm>;
+
+impl PointToPoint for NativeComm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.size
+    }
+    fn machine(&self) -> &MachineSpec {
+        &self.machine
+    }
+    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
+        NativeComm::send_f64s(self, dst, tag, values);
+    }
+    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        NativeComm::recv_f64s(self, src, tag)
+    }
+    /// Count a collective in the current phase and allocate its tag. The
+    /// native backend does not cross-check fingerprints.
+    fn coll_enter(&mut self, _fp: CollFingerprint) -> u64 {
         self.coll_seq += 1;
         self.buckets[self.cur_phase].collectives += 1;
-        crate::collectives::COLL_TAG_BASE + self.coll_seq
+        COLL_TAG_BASE + self.coll_seq
     }
-
-    /// Hash a collective's replicated result and cross-check it against
-    /// the other ranks (no-op unless replication checking is on).
-    pub(crate) fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let Some(repl) = self.repl.clone() else { return };
-        let hash = mpsim::hash_f64s(buf);
-        if let Err(e) = repl.check(self.rank, WORLD_COMM, self.coll_seq, self.size, label, hash) {
-            self.fail(e);
-        }
+    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
+        self.check_replicated_in(WORLD_COMM, self.coll_seq, self.size, label, buf);
     }
+    fn mismatch(&self, detail: String) -> ! {
+        self.fail(CommError::Sim(SimError::CollectiveMismatch { rank: self.rank, detail }))
+    }
+}
 
-    /// Group-scoped replication check used by `NativeSubComm`.
-    pub(crate) fn check_replicated_in(
+impl GroupHost for NativeComm {
+    fn coll_seq(&self) -> u64 {
+        self.coll_seq
+    }
+    fn check_collective_in(&mut self, _: u64, _: u64, _: usize, _: CollFingerprint) {}
+    fn check_replicated_in(
         &mut self,
         comm_id: u64,
         seq: u64,
@@ -524,17 +628,48 @@ impl NativeComm {
             self.fail(e);
         }
     }
+}
 
-    /// Assert that `data` is bitwise identical on every rank. Collective
-    /// (all ranks must call it in the same order); no-op unless
-    /// replication checking is enabled.
-    pub fn verify_replicated(&mut self, label: &str, data: &[f64]) {
-        let Some(repl) = self.repl.clone() else { return };
-        self.repl_seq += 1;
-        let hash = mpsim::hash_f64s(data);
-        if let Err(e) = repl.check(self.rank, USER_REPL_COMM, self.repl_seq, self.size, label, hash)
-        {
-            self.fail(e);
-        }
+impl Communicator for NativeComm {
+    type Req = NativeReq;
+    type Group<'g> = NativeSubComm<'g>;
+
+    fn now(&self) -> f64 {
+        NativeComm::now(self)
+    }
+    fn work(&mut self, ops: u64) {
+        NativeComm::work(self, ops);
+    }
+    fn enter_phase(&mut self, name: &str) {
+        NativeComm::enter_phase(self, name);
+    }
+    fn exit_phase(&mut self) {
+        NativeComm::exit_phase(self);
+    }
+    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> NativeReq {
+        NativeComm::isend_f64s(self, dst, tag, values)
+    }
+    fn irecv_f64s(&mut self, src: usize, tag: u64) -> NativeReq {
+        NativeComm::irecv_f64s(self, src, tag)
+    }
+    fn wait(&mut self, req: &mut NativeReq) -> Option<Vec<f64>> {
+        NativeComm::wait(self, req)
+    }
+    fn iallreduce_f64s_with(
+        &mut self,
+        buf: &mut [f64],
+        op: ReduceOp,
+        algo: AllreduceAlgo,
+    ) -> NativeReq {
+        NativeComm::iallreduce_f64s_with(self, buf, op, algo)
+    }
+    fn checks_replication(&self) -> bool {
+        NativeComm::checks_replication(self)
+    }
+    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
+        NativeComm::verify_replicated(self, label, data);
+    }
+    fn split(&mut self, color: u32) -> NativeSubComm<'_> {
+        NativeComm::split(self, color)
     }
 }

@@ -124,7 +124,7 @@ fn classify(rank: usize, payload: Box<dyn std::any::Any + Send>) -> CommError {
 /// The machine spec contributes only its *decisions* (rank count,
 /// default/auto allreduce algorithm); all timing is measured, not
 /// modeled. Rank bodies communicate through [`NativeComm`], whose
-/// collective schedules are bitwise mirrors of the simulator's.
+/// collectives run the simulator's own schedules (`mpsim::collectives`).
 ///
 /// # Errors
 ///

@@ -2,12 +2,13 @@
 //!
 //! Where [`mpsim`] runs the SPMD program on OS threads under *virtual*
 //! time from LogGP cost models, this crate runs the very same program on
-//! OS threads under *wall-clock* time: one `std::thread` per rank, an
-//! `mpsc` channel mesh for typed messages, and the exact collective
-//! schedules of the simulator (recursive doubling, ring, Rabenseifner,
-//! linear — same fold orders, same non-power-of-two parking), so the
-//! numerical results are bitwise identical across backends while the
-//! reported times come from real silicon.
+//! OS threads under *wall-clock* time: one `std::thread` per rank and an
+//! `mpsc` channel mesh for typed messages. This crate has no collective
+//! schedules of its own: [`NativeComm`] implements
+//! [`mpsim::PointToPoint`], and every collective — world or group — runs
+//! the one generic schedule in [`mpsim::collectives`], so the numerical
+//! results are bitwise identical across backends while the reported
+//! times come from real silicon.
 //!
 //! Both backends implement [`mpsim::Communicator`]; a driver written
 //! against the trait picks its machine with one call:
@@ -44,12 +45,8 @@
 
 #![warn(missing_docs)]
 
-pub mod collectives;
 pub mod comm;
 pub mod engine;
-pub mod subcomm;
-mod traits_impl;
 
-pub use comm::{NativeComm, NativeReq};
+pub use comm::{NativeComm, NativeReq, NativeSubComm};
 pub use engine::{run_native, NativeOptions, NativeOutput};
-pub use subcomm::NativeSubComm;

@@ -272,8 +272,9 @@ impl FileRules {
 ///   at warning (deliberately divergent deadlock tests are expected
 ///   there). `mpsim/src` is exempt — it *implements* the primitives.
 /// * `nondet` guards simulator-core code: `mpsim/src` + `pautoclass/src`
-///   + `shmcomm/src` (the native backend's collectives carry the same
-///   bitwise-determinism contract as the simulator's).
+///   + `shmcomm/src` (the native transport feeds the shared collective
+///   schedules of `mpsim/src`, so it carries the same bitwise-determinism
+///   contract).
 /// * The legacy rules keep their historical scopes exactly;
 ///   `blocking-collective` additionally covers tests/examples at
 ///   warning severity.

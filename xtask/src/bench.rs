@@ -86,6 +86,9 @@ pub fn bench(args: &[String]) -> ExitCode {
     }
     let root = crate::repo_root();
     if args.iter().any(|a| a == "--engines") {
+        if let Some(code) = crate::refuse_debug_wall_rows("bench --engines", smoke) {
+            return code;
+        }
         let out_path =
             flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("BENCH_8.json"));
         let json = match run_engine_benchmarks(smoke) {
