@@ -91,10 +91,7 @@ pub fn run_one(data: &autoclass::data::Dataset, p: usize, cfg: &GridConfig) -> P
         strategy: cfg.strategy,
         ..ParallelConfig::default()
     };
-    let opts = mpsim::SimOptions {
-        recv_timeout: std::time::Duration::from_secs(600),
-        ..Default::default()
-    };
+    let opts = mpsim::SimOptions::default();
     // lint:allow(unwrap): bench harness; a failed simulation should abort the run
     run_search_with(data, &machine, &pc, &opts).expect("simulated run failed")
 }

@@ -1,15 +1,12 @@
-//! Cooperative virtual-time scheduler: the large-`P` execution engine.
+//! Cooperative virtual-time scheduler: the engine that carries every
+//! simulated rank.
 //!
-//! The threaded engine runs every rank as a free-running OS thread and
-//! wires a full `P x P` mesh of `mpsc` channels, which stops scaling long
-//! before `P = 1024`: the mesh alone is a million channels, and blocked
-//! receives burn wall-clock time polling in 25 ms slices. This module
-//! replaces both mechanisms. Ranks still live on OS threads (Rust has no
-//! stable coroutines), but at most **one rank runs at a time**: a single
-//! baton is handed from rank to rank, every other thread is parked on its
-//! own condvar, and a blocked receive costs nothing until its message
-//! arrives. Mailboxes are created lazily per communicating pair, so memory
-//! scales with the communication graph actually used, not with `P^2`.
+//! Ranks live on OS threads (Rust has no stable coroutines), but at most
+//! **one rank runs at a time**: a single baton is handed from rank to
+//! rank, every other thread is parked on its own condvar, and a blocked
+//! receive costs nothing until its message arrives. Mailboxes are created
+//! lazily per communicating pair, so memory scales with the communication
+//! graph actually used, not with `P^2`, and `P = 1024` is routine.
 //!
 //! # Scheduling discipline
 //!
@@ -20,19 +17,17 @@
 //! receive names its source, the virtual-time results are schedule
 //! independent: the run queue's ordering is a memory/locality heuristic
 //! (it keeps per-rank clocks advancing roughly together), **not** a
-//! correctness requirement, which is why the cooperative engine is
-//! bitwise identical to the threaded one.
+//! correctness requirement.
 //!
 //! # Stall rescue
 //!
 //! When no rank is runnable and at least one is blocked, the run can never
-//! make progress — the cooperative scheduler *knows* this structurally, so
-//! unlike the threaded engine it needs no wall-clock timeout. The blocked
-//! rank diagnosed first (ascending rank order, mirroring the threaded
-//! engine's harvest tiebreak) is woken with a typed error: the fault layer
-//! gets the first word (crashed/dropped peers), then the wait-for-graph
-//! verifier, then a structural fallback that always finds either a wait on
-//! a finished rank or a cycle.
+//! make progress — the scheduler *knows* this structurally, so it needs no
+//! wall-clock timeout. The blocked rank diagnosed first (ascending rank
+//! order) is woken with a typed error: the fault layer gets the first
+//! word (crashed/dropped peers), then a structural diagnosis on the
+//! scheduler's own wait edges that always finds either a wait on a
+//! finished rank or a cycle.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,7 +36,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::comm::Envelope;
 use crate::error::SimError;
 use crate::fault::FaultState;
-use crate::verify::VerifyState;
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +43,7 @@ pub(crate) enum Deposit {
     /// The envelope is in the destination's mailbox.
     Delivered,
     /// The destination already finished or failed; the envelope was
-    /// discarded (the cooperative analogue of an `mpsc` disconnect).
+    /// discarded.
     Closed,
 }
 
@@ -128,8 +122,8 @@ struct CoopState {
     high_water: usize,
 }
 
-/// Shared state of one cooperative run: the scheduler proper plus the
-/// verification/fault layers it consults when the run stalls.
+/// Shared state of one run: the scheduler proper plus the fault layer it
+/// consults when the run stalls.
 pub(crate) struct CoopShared {
     state: Mutex<CoopState>,
     /// One condvar per rank: each parked thread waits only on its own, so
@@ -139,7 +133,6 @@ pub(crate) struct CoopShared {
     /// until the receiver drains (see
     /// [`crate::SimOptions::max_inflight_per_pair`]).
     max_inflight: usize,
-    verify: Option<Arc<VerifyState>>,
     fault: Option<Arc<FaultState>>,
     abort: Arc<AtomicBool>,
 }
@@ -148,11 +141,10 @@ impl CoopShared {
     pub(crate) fn new(
         p: usize,
         max_inflight: usize,
-        verify: Option<Arc<VerifyState>>,
         fault: Option<Arc<FaultState>>,
         abort: Arc<AtomicBool>,
     ) -> Self {
-        assert!(p > 0, "cooperative scheduler needs at least one rank");
+        assert!(p > 0, "the scheduler needs at least one rank");
         let mut status = vec![RankStatus::Ready; p];
         // Seed the run queue with every rank at clock zero except rank 0,
         // which is born holding the baton.
@@ -170,7 +162,6 @@ impl CoopShared {
             }),
             cvs: (0..p).map(|_| Condvar::new()).collect(),
             max_inflight: max_inflight.max(1),
-            verify,
             fault,
             abort,
         }
@@ -232,33 +223,16 @@ impl CoopShared {
         }
     }
 
-    /// Pick the victim of a provable stall and its typed error, in the
-    /// priority order the threaded engine's poll loop uses: fault layer,
-    /// then wait-for-graph verifier, then a structural fallback on the
-    /// scheduler's own wait edges. Total: at a stall every blocked rank's
-    /// wait chain ends in a finished rank or a cycle.
+    /// Pick the victim of a provable stall and its typed error: the fault
+    /// layer first (a wait on a crashed peer or a dropped message names
+    /// the culprit), then the structural diagnosis. Total: at a stall
+    /// every blocked rank's wait chain ends in a finished rank or a cycle.
     fn diagnose_stall(&self, state: &CoopState) -> (usize, SimError) {
-        let p = state.status.len();
         if let Some(fs) = &self.fault {
-            for r in 0..p {
-                if let RankStatus::RecvWait { src, pulled, .. } = state.status[r] {
+            for (r, status) in state.status.iter().enumerate() {
+                if let RankStatus::RecvWait { src, pulled, .. } = *status {
                     if let Some(err) = fs.diagnose_wait(r, src, pulled) {
                         return (r, err);
-                    }
-                }
-            }
-        }
-        // Same stand-down rule as the threaded poll loop: with a fatal
-        // fault on record the wait-for scan would race the fault layer's
-        // typed diagnosis, so it yields.
-        let fault_pending = self.fault.as_ref().is_some_and(|fs| fs.has_fatal_record());
-        if !fault_pending {
-            if let Some(v) = self.verify.as_ref().filter(|v| v.opts().detect_deadlock) {
-                for r in 0..p {
-                    if matches!(state.status[r], RankStatus::RecvWait { .. }) {
-                        if let Some(err) = v.scan_for_deadlock(r) {
-                            return (r, err);
-                        }
                     }
                 }
             }
@@ -266,10 +240,9 @@ impl CoopShared {
         self.structural_stall(state)
     }
 
-    /// Fallback diagnosis from the scheduler's own wait edges, for runs
-    /// with verification off (or stalls the verifier cannot see, e.g. a
-    /// cycle through a bounded-mailbox send). Blocked ranks' mailboxes
-    /// from their named source are empty by construction, so a wait on a
+    /// Diagnosis from the scheduler's own wait edges (receives and sends
+    /// parked on a full mailbox alike). Blocked ranks' mailboxes from
+    /// their named source are empty by construction, so a wait on a
     /// finished rank is hopeless and a cycle is a deadlock.
     fn structural_stall(&self, state: &CoopState) -> (usize, SimError) {
         let p = state.status.len();
@@ -403,11 +376,11 @@ impl CoopShared {
     /// Retire `me` from the run: mark it done or failed, wake senders
     /// parked on its mailboxes (their deposit observes the closed
     /// endpoint), cascade the abort to every parked rank when the run is
-    /// aborting (parked ranks no longer poll the abort flag, so the flag
+    /// aborting (parked ranks do not poll the abort flag, so the flag
     /// alone cannot reach them), and hand the baton on.
     ///
-    /// Call order matters for the verifier: the engine must
-    /// `mark_done`/set the abort flag *before* this releases the baton.
+    /// Call order matters: the engine must set the abort flag *before*
+    /// this releases the baton.
     pub(crate) fn finish(&self, me: usize, failed: bool) {
         let mut state = self.lock();
         state.status[me] = if failed { RankStatus::Failed } else { RankStatus::Done };

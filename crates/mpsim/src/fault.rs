@@ -309,19 +309,6 @@ impl FaultState {
         self.plan.virtual_timeout
     }
 
-    /// Has a *fatal* fault (crash or drop) fired in this run? While true,
-    /// the wait-for-graph deadlock scanner stands down: the fault's wake
-    /// forms wait cycles, and racing the generic deadlock verdict against
-    /// the typed per-rank diagnosis would make the surfaced error depend
-    /// on wall-clock poll order. Delays and degraded links leave no
-    /// record — they are absorbed, not diagnosed.
-    pub fn has_fatal_record(&self) -> bool {
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        self.failed.lock().expect("fault state lock").iter().any(Option::is_some)
-            // lint:allow(unwrap): mutex poisoning only follows another panic
-            || !self.dropped.lock().expect("fault state lock").is_empty()
-    }
-
     fn try_fire(&self, idx: usize) -> bool {
         !self.plan.fired[idx].swap(true, Ordering::Relaxed)
     }

@@ -2,9 +2,10 @@
 //!
 //! This crate is the substrate under the P-AutoClass reproduction: an
 //! MPI-like SPMD environment in which *computation is real* (each rank is
-//! an OS thread running the actual algorithm on its data partition, and
-//! real bytes flow between ranks) while *time is virtual* (per-rank clocks
-//! advance according to calibrated compute and network cost models).
+//! a cooperatively scheduled task running the actual algorithm on its data
+//! partition, and real bytes flow between ranks) while *time is virtual*
+//! (per-rank clocks advance according to calibrated compute and network
+//! cost models).
 //!
 //! This lets a single-core host reproduce the scaling behaviour of a
 //! 10-processor Meiko CS-2 deterministically: the numerical results are
@@ -41,9 +42,11 @@
 //!   trait that both backends (and every group) implement
 //! * [`subcomm`] — the one generic group communicator ([`Group`];
 //!   `MPI_Comm_split` analogue) over either backend
-//! * [`engine`] — the SPMD launcher ([`run_spmd`]) and its two execution
-//!   engines: thread-per-rank ([`Engine::Threaded`]) and the cooperative
-//!   virtual-time scheduler ([`Engine::Cooperative`]) for `P = 1024+`
+//! * [`engine`] — the SPMD launcher ([`run_spmd`]) on the cooperative
+//!   virtual-time scheduler: one rank runs at a time, blocked receives
+//!   cost nothing, `P = 1024+` is routine, and a run that can never make
+//!   progress is reported as a typed [`SimError::Deadlock`] naming the
+//!   wait-for cycle
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: crashes,
 //!   drops, delays, corruption, degraded links) and receive-side failure
 //!   detection that turns hangs into typed errors naming the culprit
@@ -58,8 +61,8 @@
 //!   [`GroupCommunicator`] traits (plus [`CommError`]) that let the same
 //!   SPMD driver run on this simulator or on a wall-clock native backend
 //! * [`verify`] — opt-in SPMD correctness verification: collective
-//!   fingerprint cross-validation, wait-for-graph deadlock detection, and
-//!   replication-invariant hashing (see [`SimOptions::verified`])
+//!   fingerprint cross-validation and replication-invariant hashing (see
+//!   [`SimOptions::verified`])
 
 #![warn(missing_docs)]
 
@@ -87,7 +90,7 @@ pub use cost::{
     predicted_allreduce_cost, presets, select_allreduce, AllreduceAlgo, ComputeModel, MachineSpec,
     NetworkModel,
 };
-pub use engine::{run_spmd, run_spmd_default, Engine, SimOptions, SpmdOutput};
+pub use engine::{run_spmd, run_spmd_default, SimOptions, SpmdOutput};
 pub use error::SimError;
 pub use fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use payload::DecodeError;

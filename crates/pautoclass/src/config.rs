@@ -138,7 +138,7 @@ pub struct ShardFault {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StandbyConfig {
     /// Warm spare slots the supervisor may promote (also how many spare
-    /// park-threads the engine keeps warm; see `MachineSpec::spares`).
+    /// stats rows the simulator reports; see `MachineSpec::spares`).
     pub spares: usize,
     /// Per-rank replay-ring capacity, in delivered envelopes.
     pub replay_capacity: usize,

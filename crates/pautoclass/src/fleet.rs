@@ -106,7 +106,7 @@ pub struct FleetOutcome {
 pub struct FleetFtOutcome {
     /// The search result.
     pub outcome: FleetOutcome,
-    /// Engine runs launched, including the successful one (1 = no fault).
+    /// Simulator runs launched, including the successful one (1 = no fault).
     pub attempts: usize,
     /// The typed fault each failed attempt died with, in order.
     pub faults: Vec<SimError>,

@@ -71,7 +71,7 @@ use crate::run::{outcome_from, ParallelOutcome};
 pub struct FtOutcome {
     /// The search result (rank 0's — identical on every surviving rank).
     pub outcome: ParallelOutcome,
-    /// Engine runs launched, including the successful one (1 = no fault).
+    /// Simulator runs launched, including the successful one (1 = no fault).
     pub attempts: usize,
     /// The typed fault each failed attempt died with, in order.
     pub faults: Vec<SimError>,

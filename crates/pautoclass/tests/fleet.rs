@@ -7,13 +7,11 @@
 //! the fault-tolerant supervisor recovers per policy with the damage
 //! confined to the culprit's fleet.
 
-use std::time::Duration;
-
 use autoclass::model::classes_to_flat;
 use autoclass::search::{Classification, SearchConfig};
 use mpsim::{
-    presets, AllreduceAlgo, Engine, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec,
-    SimError, SimOptions,
+    presets, AllreduceAlgo, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec, SimError,
+    SimOptions,
 };
 use pautoclass::{
     run_search_fleet, run_search_fleet_ft, run_search_fleet_native, run_search_fleet_with,
@@ -90,14 +88,7 @@ fn fleet_search_matches_across_backends_and_engines() {
     let fc = FleetConfig { groups: 2, ..FleetConfig::default() };
     let m = rd_machine(4);
     let threaded = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
-    let coop = run_search_fleet_with(
-        &data,
-        &m,
-        &cfg,
-        &fc,
-        &SimOptions { engine: Engine::Cooperative, ..SimOptions::default() },
-    )
-    .unwrap();
+    let coop = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
     let native = run_search_fleet_native(&data, &m, &cfg, &fc, &NativeOptions::default()).unwrap();
     let reference = all_bits(&threaded.outcome.all);
     assert_eq!(all_bits(&coop.outcome.all), reference, "cooperative engine differs");
@@ -194,7 +185,7 @@ fn ft(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn opts_with(plan: FaultPlan) -> SimOptions {
-    SimOptions { recv_timeout: Duration::from_secs(20), fault: Some(plan), ..SimOptions::default() }
+    SimOptions { fault: Some(plan), ..SimOptions::default() }
 }
 
 fn crash(rank: usize, seq: u64) -> FaultPlan {

@@ -3,9 +3,10 @@
 //! the simulated multicomputer (`mpsim::Comm`, virtual time) or on real
 //! cores (`shmcomm::NativeComm`, wall-clock time). Classifications,
 //! log-likelihoods, and the replication hashes of every flat parameter
-//! vector must agree to the last bit at P ∈ {1, 2, 4, 8} — the machine
-//! spec only chooses algorithms; the numbers come from identical fold
-//! orders on both backends.
+//! vector must agree to the last bit at P ∈ {1, 2, 4, 8} and on the
+//! hierarchical fat-tree cluster — the machine spec only chooses
+//! algorithms; the numbers come from identical fold orders on both
+//! backends.
 
 use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
@@ -72,8 +73,11 @@ fn assert_bitwise_identical(sim: &ParallelOutcome, native: &ParallelOutcome, lab
 fn verified_search_is_bitwise_identical_across_backends() {
     let data = datagen::paper_dataset(600, 9);
     let cfg = config(Strategy::Full { exchange: Exchange::Fused });
-    for p in [1usize, 2, 4, 8] {
-        let spec = presets::meiko_cs2(p);
+    // The hierarchical fat-tree preset (the large-P report machine, at a
+    // testable size) selects the hierarchical allreduce.
+    let specs = [1usize, 2, 4, 8].map(presets::meiko_cs2).into_iter();
+    for spec in specs.chain([presets::hier_cluster(8, 4)]) {
+        let p = spec.p;
         let sim = run_search_with(&data, &spec, &cfg, &SimOptions::verified())
             .unwrap_or_else(|e| panic!("P={p} sim: {e}"));
         let native = run_search_native(&data, &spec, &cfg, &NativeOptions::verified())

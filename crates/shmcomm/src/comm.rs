@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use mpsim::collectives::{self, COLL_TAG_BASE};
 use mpsim::error::SimError;
 use mpsim::traits::CommError;
-use mpsim::verify::{USER_REPL_COMM, WORLD_COMM};
+use mpsim::verify::{self, USER_REPL_COMM, WORLD_COMM};
 use mpsim::{
     AllreduceAlgo, CollFingerprint, Communicator, Group, GroupHost, MachineSpec, PhaseStats,
     PointToPoint, RankStats, ReduceOp, DEFAULT_PHASE,
@@ -35,7 +35,7 @@ use mpsim::{
 
 /// How long a blocked receive sleeps per poll before re-checking the
 /// abort flag and its deadline.
-const RECV_SLICE: Duration = Duration::from_millis(10);
+const POLL_SLICE: Duration = Duration::from_millis(10);
 
 /// A typed message between ranks: `f64` payloads travel verbatim (no
 /// byte codec — both endpoints share an address space), so bit patterns
@@ -52,20 +52,16 @@ pub(crate) struct Msg {
 pub(crate) struct NativeAbort(pub CommError);
 
 /// Cross-rank registry asserting that replicated values are bitwise
-/// identical on every rank, mirroring the simulator's replication
-/// verifier: the first rank to post a `(comm, seq, label)` key stores
-/// its hash, later ranks compare, and the slot is retired once the whole
-/// group has posted.
+/// identical on every rank: the simulator's first-poster registry
+/// ([`verify::post`]) under this backend's own lock and error type.
 pub(crate) struct ReplCheck {
-    slots: Mutex<ReplSlots>,
+    /// `(comm_id, seq)` → the first poster's (hash, label).
+    slots: Mutex<verify::Registry<(u64, String)>>,
 }
-
-/// `(comm_id, seq)` → (label, first poster's hash, ranks posted so far).
-type ReplSlots = std::collections::BTreeMap<(u64, u64), (String, u64, usize)>;
 
 impl ReplCheck {
     pub(crate) fn new() -> Self {
-        ReplCheck { slots: Mutex::new(std::collections::BTreeMap::new()) }
+        ReplCheck { slots: Mutex::new(verify::Registry::new()) }
     }
 
     /// Post `hash` as this rank's digest for slot `(comm, seq)`; `group`
@@ -88,22 +84,20 @@ impl ReplCheck {
                 })
             }
         };
-        let entry = slots.entry((comm, seq)).or_insert_with(|| (label.to_string(), hash, 0usize));
-        if entry.0 != label || entry.1 != hash {
-            return Err(CommError::Replication {
+        verify::post(&mut slots, rank, comm, seq, group, (hash, label.to_string()), |_, slot| {
+            let (first_hash, first_label) = &slot.value;
+            if *first_label == label && *first_hash == hash {
+                return Ok(());
+            }
+            Err(CommError::Replication {
                 rank,
                 label: label.to_string(),
                 detail: format!(
-                    "hash {:#018x} (label {:?}) != first poster's {:#018x} (label {:?})",
-                    hash, label, entry.1, entry.0
+                    "hash {hash:#018x} (label {label:?}) != first poster's {first_hash:#018x} \
+                     (label {first_label:?})"
                 ),
-            });
-        }
-        entry.2 += 1;
-        if entry.2 >= group {
-            slots.remove(&(comm, seq));
-        }
-        Ok(())
+            })
+        })
     }
 }
 
@@ -417,7 +411,7 @@ impl NativeComm {
             if self.abort.load(Ordering::SeqCst) {
                 self.fail(CommError::Sim(SimError::Aborted { rank: self.rank }));
             }
-            match self.inboxes[src].recv_timeout(RECV_SLICE) {
+            match self.inboxes[src].recv_timeout(POLL_SLICE) {
                 Ok(m) if m.tag == tag => return m,
                 Ok(m) => self.stash[src].push_back(m),
                 Err(RecvTimeoutError::Timeout) => {

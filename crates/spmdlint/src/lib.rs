@@ -271,8 +271,8 @@ impl FileRules {
 ///   `src/`, `examples/`, and `xtask/src` at error severity; test trees
 ///   at warning (deliberately divergent deadlock tests are expected
 ///   there). `mpsim/src` is exempt — it *implements* the primitives.
-/// * `nondet` guards simulator-core code: `mpsim/src` + `pautoclass/src`
-///   + `shmcomm/src` (the native transport feeds the shared collective
+/// * `nondet` guards simulator-core code: `mpsim/src`, `pautoclass/src`
+///   and `shmcomm/src` (the native transport feeds the shared collective
 ///   schedules of `mpsim/src`, so it carries the same bitwise-determinism
 ///   contract).
 /// * The legacy rules keep their historical scopes exactly;
@@ -304,7 +304,7 @@ pub fn workspace_rules(rel: &str) -> FileRules {
         && !is_test_tree;
     r.wall_clock = (rel.starts_with("crates/mpsim/src")
         || rel.starts_with("crates/pautoclass/src"))
-        && !rel.ends_with("comm.rs");
+        && rel != "crates/mpsim/src/comm.rs";
     r.unwrap = (rel.starts_with("crates/") && rel.contains("/src/") || rel.starts_with("src/"))
         && !rel.contains("src/bin/")
         && !rel.ends_with("main.rs")
@@ -558,6 +558,34 @@ pub fn read_expectations(fixture_root: &Path) -> Vec<(String, usize)> {
     out
 }
 
+/// Run every fixture under `dir`; returns per-fixture missing
+/// expectations (empty = all rules fired where expected).
+pub fn check_fixtures(dir: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
+    let mut results = BTreeMap::new();
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("read {}: {e}", dir.display()))?
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    entries.sort();
+    for fixture in entries {
+        let name =
+            fixture.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let expected = read_expectations(&fixture);
+        let report = analyze(&fixture)?;
+        let mut missing = Vec::new();
+        for (rule, line) in &expected {
+            let hit = report.findings.iter().any(|f| f.rule == rule.as_str() && f.line == *line);
+            if !hit {
+                missing.push(format!("{rule}:{line} did not fire"));
+            }
+        }
+        results.insert(name, missing);
+    }
+    Ok(results)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +609,7 @@ mod tests {
 
         let comm = workspace_rules("crates/mpsim/src/comm.rs");
         assert!(!comm.wall_clock, "comm.rs owns the clock");
+        assert!(workspace_rules("crates/mpsim/src/subcomm.rs").wall_clock);
 
         let test_tree = workspace_rules("crates/mpsim/tests/collectives.rs");
         assert_eq!(test_tree.spmd, Some(Severity::Warning));
@@ -630,32 +659,4 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
-}
-
-/// Run every fixture under `dir`; returns per-fixture missing
-/// expectations (empty = all rules fired where expected).
-pub fn check_fixtures(dir: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
-    let mut results = BTreeMap::new();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("read {}: {e}", dir.display()))?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    entries.sort();
-    for fixture in entries {
-        let name =
-            fixture.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        let expected = read_expectations(&fixture);
-        let report = analyze(&fixture)?;
-        let mut missing = Vec::new();
-        for (rule, line) in &expected {
-            let hit = report.findings.iter().any(|f| f.rule == rule.as_str() && f.line == *line);
-            if !hit {
-                missing.push(format!("{rule}:{line} did not fire"));
-            }
-        }
-        results.insert(name, missing);
-    }
-    Ok(results)
 }

@@ -149,7 +149,7 @@ fn run_series(smoke: bool) -> Result<Vec<CalRow>, String> {
         for (r, rs) in native.ranks.iter().enumerate() {
             let sum: f64 = rs.phases.iter().map(|ph| ph.total()).sum();
             let rel = (sum - rs.elapsed).abs() / rs.elapsed.max(1e-12);
-            if !(rel < 1e-6) {
+            if rel.is_nan() || rel >= 1e-6 {
                 return Err(format!(
                     "P={p} rank {r}: native phase totals {sum:.6e}s do not partition \
                      elapsed {:.6e}s",
